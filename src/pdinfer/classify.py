@@ -1,23 +1,23 @@
 """Predictive supervised classification under partition exchangeability.
 
-Two classifiers share one training summary. The marginal classifier scores
-each test item independently with its class-conditional predictive
-probability and takes the best class. The simultaneous classifier scores a
-whole labeling jointly — a test item's probability also counts the other
-test items currently assigned to the same class that share its value — and
-climbs that joint score greedily: start from the marginal labeling, sweep
-the items, reassign an item only when moving it strictly improves the joint
-score, and stop when a sweep changes nothing.
+Two classifiers share one training summary and one predictive factor. The
+marginal classifier scores each test item independently with its
+class-conditional predictive probability and takes the best class. The
+simultaneous classifier scores a whole labeling jointly: a test item's
+probability also counts the other test items currently assigned to the same
+class that share its value. It climbs that joint score greedily: start from
+the marginal labeling, sweep the items in input order, reassign an item only
+when moving it strictly improves the joint score, and stop when a sweep
+changes nothing.
 
 The joint score factorizes over (class, value) groups: every one of the
-``q`` co-assigned test items holding the same value sees ``q - 1`` twins, so
-a sweep step only needs the group counts, making a full sweep O(items x
-classes).
+``q`` co-assigned test items holding the same value sees ``q - 1`` twins. A
+table of group terms, built once per call, therefore prices every move, and
+a full sweep is O(items x classes) table lookups.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -26,7 +26,6 @@ import numpy as np
 
 from .core import SpeciesCounts, partition_of
 from .estimation import PsiEstimate, fit_psi
-from .sampling import derive_seeds
 
 __all__ = [
     "ClassModel",
@@ -49,6 +48,10 @@ Labeling = np.ndarray
 # Accept a reassignment only past this margin, so equal-score labelings can
 # never cycle.
 _IMPROVE_EPS = 1e-12
+
+# The greedy search stops here even if the last sweep still moved an item,
+# and then reports ``converged = False``.
+_MAX_SWEEPS = 100
 
 
 class DegenerateClassWarning(UserWarning):
@@ -149,13 +152,40 @@ def train(labeled_data: Iterable[tuple[int, int]]) -> TrainingModel:
     return train_from_counts(counts_by_class(labels, values))
 
 
+def _log_factor(train_count, q, m_c, psi) -> np.ndarray:
+    """Log predictive factor of one of ``q`` co-assigned test items sharing a value.
+
+    ``train_count`` is the value's count in the class's training data, ``m_c``
+    and ``psi`` are the class's size and dispersal; the arguments broadcast.
+    The item's ``q - 1`` twins join the numerator only for a value seen in
+    training (an unseen value keeps ``psi`` there) and always join the
+    denominator. ``q = 1`` is the marginal predictive probability.
+    """
+    numerator = np.where(train_count > 0, train_count + q - 1, psi)
+    return np.log(numerator) - np.log(m_c + q - 1 + psi)
+
+
+def _score_inputs(
+    model: TrainingModel, unique_values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Training counts (values x classes), class sizes and dispersals."""
+    train_counts = np.array(
+        [
+            [cm.value_counts.counts.get(v, 0) for cm in model.classes]
+            for v in unique_values.tolist()
+        ],
+        dtype=np.float64,
+    )
+    m_c = np.array([cm.m_c for cm in model.classes], dtype=np.float64)
+    psi = np.array([cm.psi_hat.psi_hat for cm in model.classes])
+    return train_counts, m_c, psi
+
+
 def marginal_log_score(model: TrainingModel, item_value: int, class_id: int) -> float:
     """Log predictive probability of one value under one class's training data."""
     class_model = model.classes[class_id]
     m_cl = class_model.value_counts.counts.get(int(item_value), 0)
-    psi = class_model.psi_hat.psi_hat
-    numerator = m_cl if m_cl > 0 else psi
-    return math.log(numerator) - math.log(class_model.m_c + psi)
+    return float(_log_factor(m_cl, 1, class_model.m_c, class_model.psi_hat.psi_hat))
 
 
 def _as_test_values(test_values: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -175,18 +205,8 @@ def classify_marginal(
     """
     values = _as_test_values(test_values)
     unique_values, inverse = np.unique(values, return_inverse=True)
-    scores = np.empty((unique_values.size, model.k))
-    for c, class_model in enumerate(model.classes):
-        counts = class_model.value_counts.counts
-        psi = class_model.psi_hat.psi_hat
-        log_denominator = math.log(class_model.m_c + psi)
-        column = np.array(
-            [counts.get(int(v), 0) for v in unique_values], dtype=np.float64
-        )
-        scores[:, c] = (
-            np.where(column > 0, np.log(np.maximum(column, 1.0)), math.log(psi))
-            - log_denominator
-        )
+    train_counts, m_c, psi = _score_inputs(model, unique_values)
+    scores = _log_factor(train_counts, 1, m_c, psi)
     best = np.argmax(scores, axis=1)  # first max -> lowest class id on ties
     labeling = best[inverse]
     per_item_log = scores[inverse, labeling]
@@ -225,144 +245,92 @@ def simultaneous_log_score(
     n_icl = int(twins.sum()) - int(twins[item])
     class_model = model.classes[class_id]
     m_cl = class_model.value_counts.counts.get(int(values[item]), 0)
-    psi = class_model.psi_hat.psi_hat
-    numerator = m_cl + n_icl if m_cl > 0 else psi
-    return math.log(numerator) - math.log(class_model.m_c + n_icl + psi)
-
-
-class _JointState:
-    """Grouped view of the joint score: counts per (unique value, class)."""
-
-    def __init__(self, model: TrainingModel, values: np.ndarray):
-        unique_values, inverse = np.unique(values, return_inverse=True)
-        self.inverse = inverse.tolist()
-        self.k = model.k
-        self.m_c = [float(cm.m_c) for cm in model.classes]
-        self.psi = [float(cm.psi_hat.psi_hat) for cm in model.classes]
-        self.train_counts = [
-            [float(cm.value_counts.counts.get(int(v), 0)) for cm in model.classes]
-            for v in unique_values
-        ]
-        self.n_unique = unique_values.size
-
-    def item_log(self, u: int, c: int, q: int) -> float:
-        """Log factor of one member of a group of ``q`` co-assigned items."""
-        m = self.train_counts[u][c]
-        numerator = m + q - 1.0 if m > 0.0 else self.psi[c]
-        return math.log(numerator / (self.m_c[c] + q - 1.0 + self.psi[c]))
-
-    def group_term(self, u: int, c: int, q: int) -> float:
-        """Joint-score contribution of a whole group of ``q`` items."""
-        return q * self.item_log(u, c, q) if q else 0.0
-
-    def total(self, group_counts: list[list[int]]) -> float:
-        return sum(
-            self.group_term(u, c, row[c])
-            for u, row in enumerate(group_counts)
-            for c in range(self.k)
-            if row[c]
-        )
+    return float(
+        _log_factor(m_cl, n_icl + 1, class_model.m_c, class_model.psi_hat.psi_hat)
+    )
 
 
 def _greedy_sweeps(
-    state: _JointState,
-    initial_labels: list[int],
-    rng: np.random.Generator | None,
-    max_sweeps: int,
-) -> tuple[list[int], list[list[int]], float, int, bool]:
-    labels = list(initial_labels)
-    group_counts = [[0] * state.k for _ in range(state.n_unique)]
-    for i, u in enumerate(state.inverse):
-        group_counts[u][labels[i]] += 1
+    join_gain: list[list[float]],
+    offsets: list[int],
+    inverse: list[int],
+    labels: list[int],
+) -> tuple[list[list[int]], int, bool]:
+    """Input-order greedy ascent of the joint score; updates ``labels`` in place.
 
-    n = len(labels)
-    inverse = state.inverse
-    term = state.group_term
-    sweeps = 0
-    converged = False
-    while sweeps < max_sweeps:
-        sweeps += 1
-        order = rng.permutation(n).tolist() if rng is not None else range(n)
+    ``join_gain[c][offsets[u] + q]`` is the joint-score change when a group
+    of ``q`` items of value ``u`` in class ``c`` gains one item; leaving a
+    group of ``q`` items is the negated gain at ``q - 1``. Returns the final
+    group sizes ``[u][c]``, the sweep count and whether the last sweep moved
+    nothing.
+    """
+    k = len(join_gain)
+    groups = [[0] * k for _ in offsets]
+    for u, c in zip(inverse, labels):
+        groups[u][c] += 1
+    for sweep in range(1, _MAX_SWEEPS + 1):
         changed = False
-        for i in order:
-            u = inverse[i]
+        for i, u in enumerate(inverse):
+            row = groups[u]
+            base = offsets[u]
             current = labels[i]
-            row = group_counts[u]
-            leave_gain = term(u, current, row[current] - 1) - term(
-                u, current, row[current]
-            )
+            leave_gain = -join_gain[current][base + row[current] - 1]
             best_delta = 0.0
             best_class = current
-            for c in range(state.k):
-                if c == current:
-                    continue
-                delta = leave_gain + term(u, c, row[c] + 1) - term(u, c, row[c])
-                if delta > best_delta:
-                    best_delta = delta
-                    best_class = c
-            if best_class != current and best_delta > _IMPROVE_EPS:
+            for c in range(k):
+                if c != current:
+                    delta = leave_gain + join_gain[c][base + row[c]]
+                    if delta > best_delta:
+                        best_delta = delta
+                        best_class = c
+            if best_delta > _IMPROVE_EPS:
                 row[current] -= 1
                 row[best_class] += 1
                 labels[i] = best_class
                 changed = True
         if not changed:
-            converged = True
-            break
-    return labels, group_counts, state.total(group_counts), sweeps, converged
+            return groups, sweep, True
+    return groups, _MAX_SWEEPS, False
 
 
 def classify_simultaneous(
-    model: TrainingModel,
-    test_values: Sequence[int] | np.ndarray,
-    *,
-    max_sweeps: int = 100,
-    sweep_order: str = "input",
-    order_seed: int = 0,
-    restarts: int = 1,
+    model: TrainingModel, test_values: Sequence[int] | np.ndarray
 ) -> ClassificationResult:
     """Greedy joint classification of all test items.
 
-    Starts from the marginal labeling, then sweeps the items (in input order
-    by default, ``sweep_order="shuffled"`` re-permutes each sweep),
+    Starts from the marginal labeling, then sweeps the items in input order,
     reassigning an item only when that strictly improves the joint score.
-    Stops when a sweep makes no change or ``max_sweeps`` is hit; the greedy
-    ascent reaches a local optimum of the joint score. ``restarts > 1`` runs
-    additional greedy passes with shuffled sweep orders derived from
-    ``order_seed`` and keeps the best-scoring labeling.
+    Stops when a sweep makes no change, which is a local optimum of the
+    joint score, or after a fixed cap of 100 sweeps, which is reported as
+    ``converged = False``.
     """
     values = _as_test_values(test_values)
-    if sweep_order not in ("input", "shuffled"):
-        raise ValueError(f"sweep_order must be 'input' or 'shuffled', got {sweep_order!r}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
+    labels = classify_marginal(model, values).labeling.tolist()
+    unique_values, inverse, group_sizes = np.unique(
+        values, return_inverse=True, return_counts=True
+    )
+    train_counts, m_c, psi = _score_inputs(model, unique_values)
 
-    initial_labels = classify_marginal(model, values).labeling.tolist()
-    state = _JointState(model, values)
+    # group terms q * factor(q) for q = 0 .. N_u + 1 per value u, stacked by value
+    span = group_sizes + 2
+    starts = np.cumsum(span) - span
+    value_of_row = np.repeat(np.arange(unique_values.size), span)
+    q = (np.arange(span.sum()) - starts[value_of_row])[:, None]
+    terms = q * _log_factor(train_counts[value_of_row], np.maximum(q, 1), m_c, psi)
+    join_gain = np.diff(terms, axis=0).T.tolist()
 
-    shuffling = sweep_order == "shuffled" or restarts > 1
-    run_seeds = derive_seeds(order_seed, restarts) if shuffling else None
-    best = None
-    for run in range(restarts):
-        if sweep_order == "shuffled" or run > 0:
-            rng = np.random.default_rng(run_seeds[run])
-        else:
-            rng = None
-        outcome = _greedy_sweeps(state, initial_labels, rng, max_sweeps)
-        if best is None or outcome[2] > best[2]:
-            best = outcome
-    labels, group_counts, total, sweeps, converged = best
+    groups, sweeps, converged = _greedy_sweeps(
+        join_gain, starts.tolist(), inverse.tolist(), labels
+    )
 
-    per_item_log = np.array(
-        [
-            state.item_log(u, labels[i], group_counts[u][labels[i]])
-            for i, u in enumerate(state.inverse)
-        ]
+    labeling = np.asarray(labels, dtype=np.int64)
+    twins_and_self = np.asarray(groups)[inverse, labeling]
+    per_item_log = _log_factor(
+        train_counts[inverse, labeling], twins_and_self, m_c[labeling], psi[labeling]
     )
     return ClassificationResult(
-        labeling=np.asarray(labels, dtype=np.int64),
-        log_score=total,
+        labeling=labeling,
+        log_score=float(per_item_log.sum()),
         per_item_log=per_item_log,
         sweeps=sweeps,
         converged=converged,

@@ -19,6 +19,7 @@ error, 3 numeric/degeneracy error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .classify import (
     counts_by_class,
     train_from_counts,
 )
-from .core import SpeciesCounts, partition_of
+from .core import SpeciesCounts, _check_psi, partition_of
 from .dataio import (
     DatasetFormatError,
     KIND_LABELED,
@@ -90,6 +91,13 @@ def _to_bool(name: str, raw: object) -> bool:
     raise UsageError(f"--{name} expects true/false, got {raw!r}")
 
 
+def _to_psi(name: str, value: float) -> float:
+    try:
+        return _check_psi(value)
+    except ValueError as exc:
+        raise UsageError(f"--{name}: {exc}") from None
+
+
 def _to_floats(name: str, raw: object) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in str(raw).split(",") if part.strip())
@@ -140,8 +148,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     seed = _to_int("seed", args.seed)
     if n < 1:
         raise UsageError(f"--n must be at least 1, got {n}")
-    if any(p <= 0 for p in psis):
-        raise UsageError("--psi values must be positive")
+    psis = tuple(_to_psi("psi", p) for p in psis)
     out = Path(_require("out", args.out))
 
     metadata = {
@@ -207,7 +214,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
             raise UsageError("--mode lm requires exactly one --input file")
         if args.psi0 is None:
             raise UsageError("--mode lm requires --psi0")
-        psi0 = _to_float("psi0", args.psi0)
+        psi0 = _to_psi("psi0", _to_float("psi0", args.psi0))
         dataset = read_dataset(inputs[0])
         rho = partition_of(SpeciesCounts.from_values(dataset.values))
         report = lm_test(rho, psi0)
@@ -266,13 +273,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if mode == "marginal":
         result = classify_marginal(model, test.values)
     else:
-        result = classify_simultaneous(
-            model,
-            test.values,
-            sweep_order="shuffled" if _to_bool("shuffle-sweeps", args.shuffle_sweeps) else "input",
-            order_seed=_to_int("order-seed", args.order_seed),
-            restarts=_to_int("restarts", args.restarts),
-        )
+        result = classify_simultaneous(model, test.values)
 
     metadata = {
         "tool_version": __version__,
@@ -281,12 +282,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "train": args.train,
         "test": args.test,
     }
-    if mode == "simultaneous":
-        metadata["shuffle_sweeps"] = str(
-            _to_bool("shuffle-sweeps", args.shuffle_sweeps)
-        ).lower()
-        metadata["order_seed"] = _to_int("order-seed", args.order_seed)
-        metadata["restarts"] = _to_int("restarts", args.restarts)
     write_classification(
         args.out,
         result.labeling,
@@ -307,6 +302,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    cap_gb = _to_float("memory-cap-gb", args.memory_cap_gb)
+    if not math.isfinite(cap_gb):
+        raise UsageError(f"--memory-cap-gb must be finite, got {cap_gb}")
     spec_kwargs = dict(
         psis=_to_floats("psis", args.psis),
         training_sizes=_to_ints("training-sizes", args.training_sizes),
@@ -314,7 +312,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         replicates=_to_int("replicates", args.replicates),
         master_seed=_to_int("seed", args.seed),
         output_path=Path(_require("out", args.out)),
-        memory_cap_bytes=int(_to_float("memory-cap-gb", args.memory_cap_gb) * 2**30),
+        memory_cap_bytes=int(cap_gb * 2**30),
     )
     if args.workers is not None:
         spec_kwargs["workers"] = _to_int("workers", args.workers)
@@ -322,11 +320,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         spec = ExperimentSpec(**spec_kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if spec.estimated_memory_bytes() > spec.memory_cap_bytes:
-        raise UsageError(
-            f"estimated working memory {spec.estimated_memory_bytes()} bytes "
-            f"exceeds the cap of {spec.memory_cap_bytes}; raise --memory-cap-gb"
-        )
     rows = run_convergence_experiment(spec)
     print("m\terr_marginal\terr_simultaneous\tdisagreement")
     for row in rows:
@@ -373,9 +366,6 @@ def build_parser() -> _Parser:
     p_classify.add_argument("--test", help="test dataset")
     p_classify.add_argument("--out", help="result file")
     p_classify.add_argument("--score-against-truth", dest="score_against_truth", action="store_true", default=False)
-    p_classify.add_argument("--shuffle-sweeps", dest="shuffle_sweeps", action="store_true", default=False)
-    p_classify.add_argument("--order-seed", dest="order_seed", default="0")
-    p_classify.add_argument("--restarts", default="1")
     add_manifest(p_classify)
     p_classify.set_defaults(handler=_cmd_classify)
 
@@ -389,7 +379,7 @@ def build_parser() -> _Parser:
     p_exp.add_argument("--out", help="output directory")
     p_exp.add_argument("--memory-cap-gb", dest="memory_cap_gb", default="2")
     p_exp.add_argument("--workers", default=None,
-                       help="parallel replicate workers (default: $PDINFER_PARALLEL or hardware threads)")
+                       help="parallel replicate workers (default: hardware threads)")
     add_manifest(p_exp)
     p_exp.set_defaults(handler=_cmd_experiment)
 

@@ -89,15 +89,25 @@ class SpeciesCounts:
 
     @classmethod
     def from_values(cls, values: Iterable[int] | np.ndarray) -> "SpeciesCounts":
-        """Count occurrences of each species id in a sequence of observations."""
-        if isinstance(values, np.ndarray):
-            if values.size == 0:
-                return cls({})
-            if values.ndim != 1:
-                raise ValueError("expected a 1-d array of species ids")
-            binc = np.bincount(values)
-            return cls({int(s): int(binc[s]) for s in np.nonzero(binc)[0]})
-        return cls(dict(Counter(int(v) for v in values)))
+        """Count occurrences of each species id in a sequence of observations.
+
+        Memory is proportional to the number of observations, whatever the
+        size of the ids.
+
+        Raises:
+            ValueError: on a negative id, an id that does not fit int64, or
+                an array that is not 1-d.
+        """
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        try:
+            ids = np.asarray(values, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("species ids must fit in a signed 64-bit integer") from None
+        if ids.ndim != 1:
+            raise ValueError("expected a 1-d array of species ids")
+        species, counts = np.unique(ids, return_counts=True)
+        return cls(dict(zip(species.tolist(), counts.tolist())))
 
     @property
     def k_obs(self) -> int:

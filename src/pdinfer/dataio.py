@@ -38,6 +38,9 @@ FORMAT_VERSION = "pd-infer v1"
 KIND_LABELED = "labeled"
 KIND_UNLABELED = "unlabeled"
 
+# ids are stored as int64
+_ID_LIMIT = 2**63
+
 _MAGIC_RE = re.compile(r"^# pd-infer v1 (labeled|unlabeled) n=(\d+)\s*$")
 _META_RE = re.compile(r"^#\s*([A-Za-z0-9_.-]+)\s*=\s*(.*?)\s*$")
 
@@ -104,8 +107,10 @@ def _parse_record(
         raise DatasetFormatError(
             f"line {line_number}: fields must be integers, got {line.strip()!r}"
         ) from None
-    if any(x < 0 for x in numbers):
-        raise DatasetFormatError(f"line {line_number}: ids must be non-negative")
+    if not all(0 <= x < _ID_LIMIT for x in numbers):
+        raise DatasetFormatError(
+            f"line {line_number}: ids must be non-negative and below 2^63"
+        )
     return (numbers[0], numbers[1]) if labeled else numbers[0]
 
 

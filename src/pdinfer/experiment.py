@@ -32,13 +32,8 @@ from .sampling import UrnConfig, _check_seed, derive_seeds, sample_sequence
 __all__ = [
     "ExperimentRow",
     "ExperimentSpec",
-    "PARALLELISM_ENV_VAR",
     "run_convergence_experiment",
 ]
-
-#: Environment variable selecting how many replicate workers run in
-#: parallel; default is the number of available hardware threads.
-PARALLELISM_ENV_VAR = "PDINFER_PARALLEL"
 
 _SUMMARY_FILE = "summary.tsv"
 _REPLICATES_FILE = "replicates.tsv"
@@ -55,7 +50,8 @@ class ExperimentSpec:
 
     ``training_sizes`` are total training sizes; each class trains on
     ``m // k`` items, and each class contributes ``test_size // k`` test
-    items. All randomness derives from ``master_seed``.
+    items. All randomness derives from ``master_seed``. A spec whose
+    estimated working memory exceeds ``memory_cap_bytes`` is refused.
     """
 
     psis: tuple[float, ...]
@@ -88,6 +84,12 @@ class ExperimentSpec:
         object.__setattr__(self, "replicates", int(self.replicates))
         object.__setattr__(self, "master_seed", _check_seed(self.master_seed))
         object.__setattr__(self, "output_path", Path(self.output_path))
+        estimated = self.estimated_memory_bytes()
+        if estimated > self.memory_cap_bytes:
+            raise ValueError(
+                f"estimated working memory {estimated} bytes exceeds the cap of "
+                f"{self.memory_cap_bytes}; raise the memory cap to proceed"
+            )
 
     @property
     def k(self) -> int:
@@ -162,9 +164,6 @@ def _replicate_metrics(
 def _worker_count(spec: ExperimentSpec) -> int:
     if spec.workers is not None:
         return max(1, int(spec.workers))
-    env = os.environ.get(PARALLELISM_ENV_VAR)
-    if env:
-        return max(1, int(env))
     return os.cpu_count() or 1
 
 
@@ -188,16 +187,8 @@ def run_convergence_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
     """Run the study, write its output files, and return the summary rows.
 
     Deterministic given ``master_seed``, regardless of the parallelism
-    degree. Refuses to start if the estimated working memory exceeds
-    ``spec.memory_cap_bytes``.
+    degree.
     """
-    estimated = spec.estimated_memory_bytes()
-    if estimated > spec.memory_cap_bytes:
-        raise ValueError(
-            f"estimated working memory {estimated} bytes exceeds the cap of "
-            f"{spec.memory_cap_bytes}; raise memory_cap_bytes to proceed"
-        )
-
     k = spec.k
     seeds = derive_seeds(spec.master_seed, spec.replicates * 2 * k)
     jobs = []

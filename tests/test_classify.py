@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import pdinfer.classify as classify_module
 from pdinfer import (
     DegenerateClassWarning,
     SpeciesCounts,
@@ -204,6 +205,23 @@ class TestClassifySimultaneous:
         initial = joint_score(marginal.labeling)
         final = joint_score(joint.labeling)
         assert final >= initial - 1e-9
+        # every returned per-item factor is the public per-item score
+        np.testing.assert_allclose(
+            joint.per_item_log,
+            [
+                simultaneous_log_score(model, test_values, joint.labeling, i, label)
+                for i, label in enumerate(joint.labeling)
+            ],
+            rtol=1e-12,
+        )
+        np.testing.assert_allclose(
+            marginal.per_item_log,
+            [
+                marginal_log_score(model, value, label)
+                for value, label in zip(test_values, marginal.labeling)
+            ],
+            rtol=1e-12,
+        )
         # the grouped sweep engine and the public per-item factor op must
         # agree on the final score
         np.testing.assert_allclose(joint.log_score, final, atol=1e-8)
@@ -234,28 +252,22 @@ class TestClassifySimultaneous:
         assert result.labeling.shape == (3,)
         assert result.labeling[0] == 0  # seen only in the degenerate class
 
-    def test_shuffled_order_deterministic(self, hand_model):
-        values = [0, 1, 2, 0, 1, 2, 99, 99]
-        a = classify_simultaneous(
-            hand_model, values, sweep_order="shuffled", order_seed=5
-        )
-        b = classify_simultaneous(
-            hand_model, values, sweep_order="shuffled", order_seed=5
-        )
-        assert np.array_equal(a.labeling, b.labeling)
-
-    def test_restarts_keep_best_score(self):
-        pairs = sample_labeled_dataset([2.0, 20.0], 200, 19)
+    def test_sweep_cap_reports_not_converged(self, monkeypatch):
+        pairs = sample_labeled_dataset([2.0, 20.0], 200, 22)
         model = train(pairs)
-        values = sample_sequence(UrnConfig(8.0, 300, 20)).values
-        single = classify_simultaneous(model, values)
-        multi = classify_simultaneous(model, values, restarts=4, order_seed=3)
-        assert multi.log_score >= single.log_score - 1e-9
-
-    def test_rejects_bad_options(self, hand_model):
-        with pytest.raises(ValueError):
-            classify_simultaneous(hand_model, [0], sweep_order="sideways")
-        with pytest.raises(ValueError):
-            classify_simultaneous(hand_model, [0], restarts=0)
-        with pytest.raises(ValueError):
-            classify_simultaneous(hand_model, [0], max_sweeps=0)
+        values = sample_sequence(UrnConfig(8.0, 300, 23)).values
+        free = classify_simultaneous(model, values)
+        # the first sweep moved items away from the marginal labeling
+        assert free.converged and free.sweeps == 2
+        assert (free.labeling != classify_marginal(model, values).labeling).any()
+        np.testing.assert_allclose(
+            free.per_item_log,
+            [
+                simultaneous_log_score(model, values, free.labeling, i, label)
+                for i, label in enumerate(free.labeling)
+            ],
+            rtol=1e-12,
+        )
+        monkeypatch.setattr(classify_module, "_MAX_SWEEPS", 1)
+        capped = classify_simultaneous(model, values)
+        assert capped.sweeps == 1 and not capped.converged

@@ -80,6 +80,14 @@ class TestSample:
         assert code == EXIT_USAGE
         assert "usage error" in stderr
 
+    @pytest.mark.parametrize("psi", ["nan", "1,nan", "inf"])
+    def test_non_finite_psi_usage_error(self, tmp_path, capsys, psi):
+        code, _, stderr = run(
+            capsys, "sample", "--psi", psi, "--n", "5", "--out", str(tmp_path / "x"),
+        )
+        assert code == EXIT_USAGE
+        assert "usage error" in stderr
+
     def test_unwritable_path(self, tmp_path, capsys):
         code, _, stderr = run(
             capsys, "sample", "--psi", "1", "--n", "5",
@@ -128,6 +136,16 @@ class TestMle:
         assert code == EXIT_DATA
         assert "line 3" in stderr
 
+    @pytest.mark.parametrize("record", ["9223372036854775808", "0\t9223372036854775808",
+                                        "9223372036854775808\t0"])
+    def test_id_beyond_int64_data_error(self, tmp_path, capsys, record):
+        kind = "labeled" if "\t" in record else "unlabeled"
+        path = tmp_path / "huge.tsv"
+        path.write_text(f"# pd-infer v1 {kind} n=2\n{record}\n{record}\n")
+        code, _, stderr = run(capsys, "mle", "--input", str(path))
+        assert code == EXIT_DATA
+        assert "line 2" in stderr
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, _ = run(capsys, "mle", "--input", str(tmp_path / "none.tsv"))
         assert code == EXIT_DATA
@@ -147,6 +165,13 @@ class TestTest:
 
     def test_lm_requires_psi0(self, aab_file, capsys):
         code, _, stderr = run(capsys, "test", "--mode", "lm", "--input", str(aab_file))
+        assert code == EXIT_USAGE
+        assert "psi0" in stderr
+
+    def test_lm_non_finite_psi0_usage_error(self, aab_file, capsys):
+        code, _, stderr = run(
+            capsys, "test", "--mode", "lm", "--psi0", "nan", "--input", str(aab_file)
+        )
         assert code == EXIT_USAGE
         assert "psi0" in stderr
 
@@ -245,6 +270,18 @@ class TestClassify:
         assert code == EXIT_DATA
         assert "labeled" in stderr
 
+    @pytest.mark.parametrize(
+        "flag", [["--shuffle-sweeps"], ["--order-seed", "3"], ["--restarts", "4"]]
+    )
+    def test_removed_search_flags_usage_error(self, files, tmp_path, capsys, flag):
+        train, test = files
+        code, _, stderr = run(
+            capsys, "classify", "--mode", "simultaneous", "--train", str(train),
+            "--test", str(test), "--out", str(tmp_path / "r.tsv"), *flag,
+        )
+        assert code == EXIT_USAGE
+        assert "usage error" in stderr
+
     def test_bad_mode_usage_error(self, files, tmp_path, capsys):
         train, test = files
         code, _, _ = run(
@@ -293,3 +330,13 @@ class TestExperimentCommand:
         )
         assert code == EXIT_USAGE
         assert "memory" in stderr
+
+    @pytest.mark.parametrize("cap", ["inf", "nan"])
+    def test_non_finite_memory_cap_usage_error(self, tmp_path, capsys, cap):
+        code, _, stderr = run(
+            capsys, "experiment", "--psis", "1,20", "--training-sizes", "60,240",
+            "--test-size", "120", "--replicates", "2", "--seed", "21",
+            "--out", str(tmp_path / "exp"), "--memory-cap-gb", cap,
+        )
+        assert code == EXIT_USAGE
+        assert "memory-cap-gb" in stderr

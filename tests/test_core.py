@@ -1,6 +1,7 @@
 """Tests for the partition types, the Ewens pmf, and the predictive rule."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +54,22 @@ class TestSpeciesCounts:
         assert SpeciesCounts.from_values(np.array(values)) == SpeciesCounts(
             {3: 3, 1: 1, 0: 1}
         )
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_from_values_large_id_small_memory(self, as_array):
+        values = [0, 10**10]
+        tracemalloc.start()
+        try:
+            counts = SpeciesCounts.from_values(np.array(values) if as_array else values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts == SpeciesCounts({0: 1, 10**10: 1})
+        assert peak < 4 * 2**20
+
+    def test_from_values_rejects_id_beyond_int64(self):
+        with pytest.raises(ValueError, match="64-bit"):
+            SpeciesCounts.from_values([0, 2**64])
 
 
 class TestPartition:

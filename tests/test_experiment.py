@@ -34,9 +34,8 @@ class TestExperimentSpec:
             small_spec(tmp_path, test_size=1)
 
     def test_memory_guard(self, tmp_path):
-        spec = small_spec(tmp_path, memory_cap_bytes=10)
         with pytest.raises(ValueError, match="memory"):
-            run_convergence_experiment(spec)
+            small_spec(tmp_path, memory_cap_bytes=10)
 
 
 class TestRunConvergenceExperiment:
