@@ -8,19 +8,26 @@ test        score test (``--mode lm``) or likelihood ratio test (``--mode lrt``)
 classify    marginal or simultaneous classification of a test file
 experiment  classifier convergence study over growing training sizes
 
-Every command is deterministic given its flags and seed. A run-manifest
-file of ``key = value`` lines (``--manifest``) can substitute for flags;
-explicit flags win on conflict.
+Every command is deterministic given its flags and seed. A run manifest
+(``--manifest FILE`` or ``--manifest=FILE``) holds ``key = value`` lines, each
+read as the flags ``--key value...`` (``_`` in a key reads as ``-``; the value
+is split like a shell line, so quote a path with spaces). They are placed
+before the command line's own flags, which therefore win; an unknown key is a
+usage error. ``--per-class`` and ``--score-against-truth`` optionally take
+true/false/yes/no/1/0.
 
-Exit codes: 0 success (warnings allowed), 1 usage error, 2 data/parse
-error, 3 numeric/degeneracy error.
+Exit codes: 0 success (warnings allowed), 1 usage error (including
+``experiment --workers`` below 1), 2 data/parse error (including a dataset
+with no records), 3 numeric/degeneracy error.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import shlex
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +41,7 @@ from .classify import (
 )
 from .core import SpeciesCounts, _check_psi, partition_of
 from .dataio import (
+    Dataset,
     DatasetFormatError,
     KIND_LABELED,
     read_dataset,
@@ -43,7 +51,7 @@ from .dataio import (
 from .estimation import PsiEstimate, fit_psi
 from .experiment import ExperimentSpec, run_convergence_experiment
 from .hypothesis import DegenerateSampleError, lm_test, lr_test
-from .sampling import UrnConfig, derive_seeds, sample_labeled_dataset, sample_sequence
+from .sampling import UrnConfig, _check_seed, derive_seeds, sample_labeled_dataset, sample_sequence
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,70 +68,92 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _require(name: str, raw: object) -> object:
-    if raw is None:
-        raise UsageError(f"--{name} is required (flag or manifest)")
-    return raw
+def _arg_type(convert: Callable[[str], object]) -> Callable[[str], object]:
+    """An argparse ``type`` that reports the ``ValueError`` of ``convert`` as usage."""
+
+    def parse(text: str) -> object:
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
-def _to_int(name: str, raw: object) -> int:
+_psi = _arg_type(lambda text: _check_psi(float(text)))
+_seed = _arg_type(lambda text: _check_seed(int(text)))
+_ints = _arg_type(lambda text: tuple(int(part) for part in text.split(",") if part.strip()))
+
+
+@_arg_type
+def _psis(text: str) -> tuple[float, ...]:
+    psis = tuple(_psi(part) for part in text.split(",") if part.strip())
+    if not psis:
+        raise ValueError("expects at least one value")
+    return psis
+
+
+@_arg_type
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be at least 1, got {value}")
+    return value
+
+
+@_arg_type
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
+
+
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _boolean(text: str) -> bool:
     try:
-        return int(str(raw))
-    except ValueError:
-        raise UsageError(f"--{name} expects an integer, got {raw!r}") from None
+        return _BOOLEANS[text.strip().lower()]
+    except KeyError:
+        raise argparse.ArgumentTypeError(f"expects true/false/yes/no/1/0, got {text!r}") from None
 
 
-def _to_float(name: str, raw: object) -> float:
-    try:
-        return float(str(raw))
-    except ValueError:
-        raise UsageError(f"--{name} expects a number, got {raw!r}") from None
+def _with_manifest(argv: list[str]) -> list[str]:
+    """Replace ``--manifest FILE`` after the command name by the flags FILE lists.
+
+    Each ``key = value`` line (blank lines and ``#`` comments skipped) becomes
+    ``--key value...``: ``_`` in the key reads as ``-`` and the value is split
+    like a shell line. The tokens go right after the command name, so flags on
+    the command line, parsed later, win.
+    """
+    command = next((i for i, token in enumerate(argv) if not token.startswith("-")), len(argv))
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--manifest")
+    known, rest = pre.parse_known_args(argv[command + 1 :])
+    tokens: list[str] = []
+    if known.manifest is not None:
+        try:
+            lines = Path(known.manifest).read_text(encoding="utf-8").splitlines()
+            for line_number, line in enumerate(lines, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, sep, value = line.partition("=")
+                values = shlex.split(value)
+                if not (sep and key.strip() and values):
+                    raise UsageError(f"manifest line {line_number}: expected 'key = value'")
+                tokens += [f"--{key.strip().replace('_', '-')}", *values]
+        except ValueError as exc:  # unbalanced quotes, or not UTF-8
+            raise UsageError(f"manifest {known.manifest}: {exc}") from None
+    return argv[: command + 1] + tokens + rest
 
 
-def _to_bool(name: str, raw: object) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    text = str(raw).strip().lower()
-    if text in ("true", "1", "yes"):
-        return True
-    if text in ("false", "0", "no", ""):
-        return False
-    raise UsageError(f"--{name} expects true/false, got {raw!r}")
-
-
-def _to_psi(name: str, value: float) -> float:
-    try:
-        return _check_psi(value)
-    except ValueError as exc:
-        raise UsageError(f"--{name}: {exc}") from None
-
-
-def _to_floats(name: str, raw: object) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in str(raw).split(",") if part.strip())
-    except ValueError:
-        raise UsageError(f"--{name} expects comma-separated numbers, got {raw!r}") from None
-
-
-def _to_ints(name: str, raw: object) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in str(raw).split(",") if part.strip())
-    except ValueError:
-        raise UsageError(f"--{name} expects comma-separated integers, got {raw!r}") from None
-
-
-def _read_manifest(path: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; blank lines and ``#`` comments ignored."""
-    entries: dict[str, str] = {}
-    for line_number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise UsageError(f"manifest line {line_number}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        entries[key.strip().replace("-", "_")] = value.strip()
-    return entries
+def _read(path: str) -> Dataset:
+    dataset = read_dataset(path)
+    if dataset.n == 0:
+        raise DatasetFormatError(f"{path}: dataset is empty")
+    return dataset
 
 
 def _rho_summary(counts: SpeciesCounts) -> str:
@@ -141,15 +171,7 @@ def _print_fit(fit: PsiEstimate, prefix: str = "") -> None:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    psis = _to_floats("psi", _require("psi", args.psi))
-    if not psis:
-        raise UsageError("--psi requires at least one value")
-    n = _to_int("n", _require("n", args.n))
-    seed = _to_int("seed", args.seed)
-    if n < 1:
-        raise UsageError(f"--n must be at least 1, got {n}")
-    psis = tuple(_to_psi("psi", p) for p in psis)
-    out = Path(_require("out", args.out))
+    psis, n, seed, out = args.psi, args.n, args.seed, Path(args.out)
 
     metadata = {
         "tool_version": __version__,
@@ -182,8 +204,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_mle(args: argparse.Namespace) -> int:
-    dataset = read_dataset(_require("input", args.input))
-    if _to_bool("per-class", args.per_class):
+    dataset = _read(args.input)
+    if args.per_class:
         if dataset.kind != KIND_LABELED:
             raise DatasetFormatError(
                 f"{args.input}: --per-class requires a labeled dataset"
@@ -205,34 +227,26 @@ def _cmd_mle(args: argparse.Namespace) -> int:
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
-    mode = str(_require("mode", args.mode))
-    inputs = _require("input", args.input)
-    if isinstance(inputs, str):  # a manifest supplies one path as a string
-        inputs = inputs.split()
-    if mode == "lm":
+    inputs = args.input
+    if args.mode == "lm":
         if len(inputs) != 1:
             raise UsageError("--mode lm requires exactly one --input file")
         if args.psi0 is None:
             raise UsageError("--mode lm requires --psi0")
-        psi0 = _to_psi("psi0", _to_float("psi0", args.psi0))
-        dataset = read_dataset(inputs[0])
-        rho = partition_of(SpeciesCounts.from_values(dataset.values))
-        report = lm_test(rho, psi0)
+        rho = partition_of(SpeciesCounts.from_values(_read(inputs[0]).values))
+        report = lm_test(rho, args.psi0)
         print(f"method = {report.method}")
         print(f"statistic = {report.statistic:.12g}")
         print(f"df = {report.df}")
         print(f"p_value = {report.p_value:.12g}")
-        print(f"psi0 = {psi0:.12g}")
+        print(f"psi0 = {args.psi0:.12g}")
         fit = fit_psi(rho)
         print(f"psi_hat = {fit.psi_hat:.12g}")
         print(f"psi_hat_status = {fit.status}")
-    elif mode == "lrt":
+    else:
         if len(inputs) < 2:
             raise UsageError("--mode lrt requires at least two --input files")
-        partitions = [
-            partition_of(SpeciesCounts.from_values(read_dataset(path).values))
-            for path in inputs
-        ]
+        partitions = [partition_of(SpeciesCounts.from_values(_read(path).values)) for path in inputs]
         report = lr_test(partitions)
         print(f"method = {report.method}")
         print(f"statistic = {report.statistic:.12g}")
@@ -241,18 +255,11 @@ def _cmd_test(args: argparse.Namespace) -> int:
         for index, fit in enumerate(report.per_sample_psi):
             print(f"psi_hat_{index} = {fit.psi_hat:.12g}")
         print(f"psi_hat_pooled = {report.pooled_psi.psi_hat:.12g}")
-    else:
-        raise UsageError(f"--mode must be lm or lrt, got {mode!r}")
     return EXIT_OK
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    mode = str(_require("mode", args.mode))
-    if mode not in ("marginal", "simultaneous"):
-        raise UsageError(f"--mode must be marginal or simultaneous, got {mode!r}")
-    for name in ("train", "test", "out"):
-        _require(name, getattr(args, name))
-    training = read_dataset(args.train)
+    training = _read(args.train)
     if training.kind != KIND_LABELED:
         raise DatasetFormatError(f"{args.train}: training data must be labeled")
     try:
@@ -263,14 +270,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         raise DatasetFormatError(f"{args.train}: {exc}") from None
     model = train_from_counts(per_class)
 
-    test = read_dataset(args.test)
-    score_truth = _to_bool("score-against-truth", args.score_against_truth)
-    if score_truth and test.kind != KIND_LABELED:
+    test = _read(args.test)
+    if args.score_against_truth and test.kind != KIND_LABELED:
         raise DatasetFormatError(
             f"{args.test}: --score-against-truth requires a labeled test file"
         )
 
-    if mode == "marginal":
+    if args.mode == "marginal":
         result = classify_marginal(model, test.values)
     else:
         result = classify_simultaneous(model, test.values)
@@ -278,7 +284,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     metadata = {
         "tool_version": __version__,
         "command": "classify",
-        "mode": mode,
+        "mode": args.mode,
         "train": args.train,
         "test": args.test,
     }
@@ -291,33 +297,28 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         result.converged,
         metadata=metadata,
     )
-    print(f"wrote {args.out} (mode={mode}, n={result.labeling.size})")
+    print(f"wrote {args.out} (mode={args.mode}, n={result.labeling.size})")
     print(f"total_log_score = {result.log_score:.12g}")
     print(f"sweeps = {result.sweeps}")
     print(f"converged = {str(result.converged).lower()}")
-    if score_truth:
+    if args.score_against_truth:
         error_rate = float((result.labeling != test.labels).mean())
         print(f"error_rate = {error_rate:.6f}")
     return EXIT_OK
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    cap_gb = _to_float("memory-cap-gb", args.memory_cap_gb)
-    if not math.isfinite(cap_gb):
-        raise UsageError(f"--memory-cap-gb must be finite, got {cap_gb}")
-    spec_kwargs = dict(
-        psis=_to_floats("psis", args.psis),
-        training_sizes=_to_ints("training-sizes", args.training_sizes),
-        test_size=_to_int("test-size", args.test_size),
-        replicates=_to_int("replicates", args.replicates),
-        master_seed=_to_int("seed", args.seed),
-        output_path=Path(_require("out", args.out)),
-        memory_cap_bytes=int(cap_gb * 2**30),
-    )
-    if args.workers is not None:
-        spec_kwargs["workers"] = _to_int("workers", args.workers)
     try:
-        spec = ExperimentSpec(**spec_kwargs)
+        spec = ExperimentSpec(
+            psis=args.psis,
+            training_sizes=args.training_sizes,
+            test_size=args.test_size,
+            replicates=args.replicates,
+            master_seed=args.seed,
+            output_path=Path(args.out),
+            memory_cap_bytes=int(args.memory_cap_gb * 2**30),
+            workers=args.workers,
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     rows = run_convergence_experiment(spec)
@@ -336,76 +337,63 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"pd-infer {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_manifest(p: _Parser) -> None:
-        p.add_argument("--manifest", default=None, help="key = value file of flag defaults")
+    def add_parser(name: str, handler: Callable[[argparse.Namespace], int], **kwargs) -> _Parser:
+        p = sub.add_parser(name, **kwargs)
+        p.add_argument("--manifest", help="file of 'key = value' lines read as '--key value' flags")
+        p.set_defaults(handler=handler)
+        return p
 
-    p_sample = sub.add_parser("sample", help="generate a dataset from the urn scheme")
-    p_sample.add_argument("--psi", help="dispersal; comma-separated list makes a labeled per-class dataset")
-    p_sample.add_argument("--n", help="sequence length (per class when multiple --psi values)")
-    p_sample.add_argument("--seed", default="0")
-    p_sample.add_argument("--out")
-    add_manifest(p_sample)
-    p_sample.set_defaults(handler=_cmd_sample)
+    def add_boolean(p: _Parser, flag: str) -> None:
+        p.add_argument(flag, type=_boolean, nargs="?", const=True, default=False, metavar="BOOL")
 
-    p_mle = sub.add_parser("mle", help="fit the dispersal parameter")
-    p_mle.add_argument("--input")
-    p_mle.add_argument("--per-class", dest="per_class", action="store_true", default=False)
-    add_manifest(p_mle)
-    p_mle.set_defaults(handler=_cmd_mle)
+    p_sample = add_parser("sample", _cmd_sample, help="generate a dataset from the urn scheme")
+    p_sample.add_argument("--psi", type=_psis, required=True,
+                          help="dispersal; comma-separated list makes a labeled per-class dataset")
+    p_sample.add_argument("--n", type=_count, required=True,
+                          help="sequence length (per class when multiple --psi values)")
+    p_sample.add_argument("--seed", type=_seed, default=0)
+    p_sample.add_argument("--out", required=True)
 
-    p_test = sub.add_parser("test", help="hypothesis tests for the dispersal parameter")
-    p_test.add_argument("--mode", help="lm or lrt")
-    p_test.add_argument("--psi0", default=None, help="null value (lm only)")
-    p_test.add_argument("--input", nargs="+", help="one file for lm, two or more for lrt")
-    add_manifest(p_test)
-    p_test.set_defaults(handler=_cmd_test)
+    p_mle = add_parser("mle", _cmd_mle, help="fit the dispersal parameter")
+    p_mle.add_argument("--input", required=True)
+    add_boolean(p_mle, "--per-class")
 
-    p_classify = sub.add_parser("classify", help="classify a test file")
-    p_classify.add_argument("--mode", help="marginal or simultaneous")
-    p_classify.add_argument("--train", help="labeled training dataset")
-    p_classify.add_argument("--test", help="test dataset")
-    p_classify.add_argument("--out", help="result file")
-    p_classify.add_argument("--score-against-truth", dest="score_against_truth", action="store_true", default=False)
-    add_manifest(p_classify)
-    p_classify.set_defaults(handler=_cmd_classify)
+    p_test = add_parser("test", _cmd_test, help="hypothesis tests for the dispersal parameter")
+    p_test.add_argument("--mode", choices=("lm", "lrt"), required=True)
+    p_test.add_argument("--psi0", type=_psi, default=None, help="null value (lm only)")
+    p_test.add_argument("--input", nargs="+", required=True,
+                        help="one file for lm, two or more for lrt")
 
-    p_exp = sub.add_parser("experiment", help="classifier convergence study")
-    p_exp.add_argument("--psis", default="1,10,50", help="per-class dispersal values")
-    p_exp.add_argument("--training-sizes", dest="training_sizes", default="1000,10000,100000,200000",
+    p_classify = add_parser("classify", _cmd_classify, help="classify a test file")
+    p_classify.add_argument("--mode", choices=("marginal", "simultaneous"), required=True)
+    p_classify.add_argument("--train", required=True, help="labeled training dataset")
+    p_classify.add_argument("--test", required=True, help="test dataset")
+    p_classify.add_argument("--out", required=True, help="result file")
+    add_boolean(p_classify, "--score-against-truth")
+
+    p_exp = add_parser("experiment", _cmd_experiment, help="classifier convergence study")
+    p_exp.add_argument("--psis", type=_psis, default="1,10,50", help="per-class dispersal values")
+    p_exp.add_argument("--training-sizes", type=_ints, default="1000,10000,100000,200000",
                        help="total training sizes (desk-scale default; raise for larger studies)")
-    p_exp.add_argument("--test-size", dest="test_size", default="2000")
-    p_exp.add_argument("--replicates", default="5")
-    p_exp.add_argument("--seed", default="100")
-    p_exp.add_argument("--out", help="output directory")
-    p_exp.add_argument("--memory-cap-gb", dest="memory_cap_gb", default="2")
-    p_exp.add_argument("--workers", default=None,
-                       help="parallel replicate workers (default: hardware threads)")
-    add_manifest(p_exp)
-    p_exp.set_defaults(handler=_cmd_experiment)
+    p_exp.add_argument("--test-size", type=int, default=2000)
+    p_exp.add_argument("--replicates", type=int, default=5)
+    p_exp.add_argument("--seed", type=_seed, default=100)
+    p_exp.add_argument("--out", required=True, help="output directory")
+    p_exp.add_argument("--memory-cap-gb", type=_finite, default=2.0)
+    p_exp.add_argument("--workers", type=int, default=None,
+                       help="parallel replicate workers, at least 1 (default: hardware threads)")
 
     return parser
 
 
-def _apply_manifest(argv: list[str], parser: _Parser) -> None:
-    if "--manifest" not in argv:
-        return
-    index = argv.index("--manifest")
-    if index + 1 >= len(argv):
-        raise UsageError("--manifest requires a file path")
-    entries = _read_manifest(argv[index + 1])
-    # manifest values become defaults; explicit flags still win at parse time
-    for action in parser._subparsers._group_actions:  # noqa: SLF001
-        for subparser in action.choices.values():
-            known = {a.dest for a in subparser._actions}  # noqa: SLF001
-            subparser.set_defaults(**{k: v for k, v in entries.items() if k in known})
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        _apply_manifest(argv, parser)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_with_manifest(argv))
+        if args.manifest is not None:
+            # every full --manifest was expanded above; this one is abbreviated
+            # or comes from inside a manifest, and would be ignored
+            raise UsageError("--manifest must be given in full on the command line")
         return args.handler(args)
     except UsageError as exc:
         print(f"pd-infer: usage error: {exc}", file=sys.stderr)

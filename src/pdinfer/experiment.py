@@ -52,6 +52,8 @@ class ExperimentSpec:
     ``m // k`` items, and each class contributes ``test_size // k`` test
     items. All randomness derives from ``master_seed``. A spec whose
     estimated working memory exceeds ``memory_cap_bytes`` is refused.
+    Replicates run on ``workers`` processes (at least 1; ``None`` means
+    ``os.cpu_count()``).
     """
 
     psis: tuple[float, ...]
@@ -78,6 +80,8 @@ class ExperimentSpec:
             raise ValueError(f"test size {self.test_size} leaves no items per class")
         if int(self.replicates) < 1:
             raise ValueError("need at least 1 replicate")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"need at least 1 worker, got {self.workers}")
         object.__setattr__(self, "psis", psis)
         object.__setattr__(self, "training_sizes", sizes)
         object.__setattr__(self, "test_size", int(self.test_size))
@@ -163,7 +167,7 @@ def _replicate_metrics(
 
 def _worker_count(spec: ExperimentSpec) -> int:
     if spec.workers is not None:
-        return max(1, int(spec.workers))
+        return int(spec.workers)
     return os.cpu_count() or 1
 
 

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pdinfer import read_dataset
 from pdinfer.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
@@ -163,6 +165,16 @@ class TestTest:
         assert float(report["p_value"]) > 0.999
         assert report["df"] == "1"
 
+    def test_lm_input_path_with_space_not_split(self, aab_file, tmp_path, capsys):
+        spaced = tmp_path / "dir with space" / "a.tsv"
+        spaced.parent.mkdir()
+        spaced.write_bytes(aab_file.read_bytes())
+        code, stdout, _ = run(
+            capsys, "test", "--mode", "lm", "--psi0", "2", "--input", str(spaced)
+        )
+        assert code == EXIT_OK
+        assert parse_kv(stdout)["method"]
+
     def test_lm_requires_psi0(self, aab_file, capsys):
         code, _, stderr = run(capsys, "test", "--mode", "lm", "--input", str(aab_file))
         assert code == EXIT_USAGE
@@ -309,6 +321,75 @@ class TestManifest:
         assert code == EXIT_OK
         assert read_dataset(tmp_path / "m2.tsv").n == 70
 
+    def test_manifest_equals_form(self, tmp_path, capsys):
+        manifest = tmp_path / "run.manifest"
+        manifest.write_text(f"psi = 2.5\nn = 40\nout = {tmp_path / 'm.tsv'}\n")
+        code, _, _ = run(capsys, "sample", f"--manifest={manifest}")
+        assert code == EXIT_OK
+        assert read_dataset(tmp_path / "m.tsv").n == 40
+
+    def test_flag_before_manifest_wins(self, tmp_path, capsys):
+        manifest = tmp_path / "run.manifest"
+        manifest.write_text(f"psi = 2.5\nn = 40\nout = {tmp_path / 'm.tsv'}\n")
+        code, _, _ = run(capsys, "sample", "--n", "70", "--manifest", str(manifest))
+        assert code == EXIT_OK
+        assert read_dataset(tmp_path / "m.tsv").n == 70
+
+    def test_boolean_keys(self, tmp_path, capsys):
+        train = tmp_path / "train.tsv"
+        run(capsys, "sample", "--psi", "1,20", "--n", "200", "--seed", "5",
+            "--out", str(train))
+        manifest = tmp_path / "mle.manifest"
+        manifest.write_text(f"input = {train}\nper_class = true\n")
+        code, stdout, _ = run(capsys, "mle", "--manifest", str(manifest))
+        assert code == EXIT_OK
+        assert "class = 1" in stdout
+
+        manifest = tmp_path / "classify.manifest"
+        manifest.write_text(
+            f"mode = marginal\ntrain = {train}\ntest = {train}\n"
+            f"out = {tmp_path / 'r.tsv'}\nscore_against_truth = yes\n"
+        )
+        code, stdout, _ = run(capsys, "classify", "--manifest", str(manifest))
+        assert code == EXIT_OK
+        assert "error_rate" in parse_kv(stdout)
+
+    def test_input_list_drives_lrt(self, tmp_path, capsys):
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        run(capsys, "sample", "--psi", "4", "--n", "300", "--seed", "6", "--out", str(a))
+        b.write_bytes(a.read_bytes())
+        manifest = tmp_path / "lrt.manifest"
+        manifest.write_text(f"mode = lrt\ninput = {a} {b}\n")
+        code, stdout, _ = run(capsys, "test", "--manifest", str(manifest))
+        assert code == EXIT_OK
+        assert "psi_hat_1" in parse_kv(stdout)
+
+    def test_quoted_path_with_space(self, tmp_path, capsys):
+        out = tmp_path / "dir with space" / "m.tsv"
+        out.parent.mkdir()
+        manifest = tmp_path / "run.manifest"
+        manifest.write_text(f"# sample settings\n\npsi = 2.5\nn = 40\nout = \"{out}\"\n")
+        code, _, _ = run(capsys, "sample", "--manifest", str(manifest))
+        assert code == EXIT_OK
+        assert read_dataset(out).n == 40
+
+    def test_unknown_key_usage_error(self, tmp_path, capsys):
+        manifest = tmp_path / "run.manifest"
+        manifest.write_text(f"psi = 2.5\nn = 40\nout = {tmp_path / 'm.tsv'}\nbogus_key = 1\n")
+        code, _, stderr = run(capsys, "sample", "--manifest", str(manifest))
+        assert code == EXIT_USAGE
+        assert "bogus-key" in stderr
+        assert not (tmp_path / "m.tsv").exists()
+
+    @pytest.mark.parametrize("flag", [["--manifest"], ["--manif", "run.manifest"]])
+    def test_manifest_flag_misuse_usage_error(self, tmp_path, capsys, flag):
+        (tmp_path / "run.manifest").write_text("psis = 1,20\n")
+        code, _, stderr = run(
+            capsys, "experiment", "--out", str(tmp_path / "exp"), *flag
+        )
+        assert code == EXIT_USAGE
+        assert "manifest" in stderr
+
 
 class TestExperimentCommand:
     def test_runs_and_writes(self, tmp_path, capsys):
@@ -331,6 +412,16 @@ class TestExperimentCommand:
         assert code == EXIT_USAGE
         assert "memory" in stderr
 
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_workers_below_one_usage_error(self, tmp_path, capsys, workers):
+        code, _, stderr = run(
+            capsys, "experiment", "--psis", "1,20", "--training-sizes", "60,240",
+            "--test-size", "120", "--replicates", "2", "--seed", "21",
+            "--out", str(tmp_path / "exp"), "--workers", workers,
+        )
+        assert code == EXIT_USAGE
+        assert "worker" in stderr
+
     @pytest.mark.parametrize("cap", ["inf", "nan"])
     def test_non_finite_memory_cap_usage_error(self, tmp_path, capsys, cap):
         code, _, stderr = run(
@@ -340,3 +431,72 @@ class TestExperimentCommand:
         )
         assert code == EXIT_USAGE
         assert "memory-cap-gb" in stderr
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--psi", "1", "--n", "5", "--seed", "-3"],
+            ["sample", "--psi", "1", "--n", "5", "--seed", "18446744073709551616"],
+            ["experiment", "--seed", "-1"],
+            ["experiment", "--seed", "18446744073709551616"],
+        ],
+    )
+    def test_seed_out_of_range_usage_error(self, tmp_path, capsys, argv):
+        code, _, stderr = run(capsys, *argv, "--out", str(tmp_path / "x"))
+        assert code == EXIT_USAGE
+        assert "seed" in stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mle", "--input", "{unlabeled}"],
+            ["mle", "--input", "{labeled}", "--per-class"],
+            ["test", "--mode", "lm", "--psi0", "1", "--input", "{unlabeled}"],
+            ["test", "--mode", "lrt", "--input", "{aab}", "{unlabeled}"],
+            ["classify", "--mode", "marginal", "--train", "{train}",
+             "--test", "{unlabeled}", "--out", "{out}"],
+        ],
+    )
+    def test_empty_dataset_data_error(self, aab_file, tmp_path, capsys, argv):
+        paths = {
+            "unlabeled": tmp_path / "empty.tsv",
+            "labeled": tmp_path / "empty_labeled.tsv",
+            "aab": aab_file,
+            "train": tmp_path / "train.tsv",
+            "out": tmp_path / "r.tsv",
+        }
+        paths["unlabeled"].write_text("# pd-infer v1 unlabeled n=0\n")
+        paths["labeled"].write_text("# pd-infer v1 labeled n=0\n")
+        paths["train"].write_text(
+            "# pd-infer v1 labeled n=6\n0\t0\n0\t0\n0\t1\n1\t2\n1\t2\n1\t3\n"
+        )
+        code, _, stderr = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == EXIT_DATA
+        assert "empty" in stderr
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        psi=st.one_of(st.text(max_size=12),
+                      st.lists(st.floats().map(str), min_size=1, max_size=4).map(",".join)),
+        seed=st.one_of(st.text(max_size=24), st.integers().map(str)),
+    )
+    def test_sample_flags_exit_code_contract(self, tmp_path, psi, seed):
+        argv = ["sample", "--psi", psi, "--n", "5", "--seed", seed,
+                "--out", str(tmp_path / "fuzz.tsv")]
+        assert main(argv) in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(records=st.lists(
+        st.one_of(st.integers().map(str),
+                  st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=24)),
+        max_size=8,
+    ))
+    def test_mle_records_exit_code_contract(self, tmp_path, records):
+        path = tmp_path / "fuzz.tsv"
+        header = f"# pd-infer v1 unlabeled n={len(records)}\n"
+        path.write_text(header + "".join(f"{record}\n" for record in records), encoding="utf-8")
+        assert main(["mle", "--input", str(path)]) in (EXIT_OK, EXIT_DATA, EXIT_NUMERIC)

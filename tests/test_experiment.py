@@ -32,6 +32,8 @@ class TestExperimentSpec:
             small_spec(tmp_path, replicates=0)
         with pytest.raises(ValueError):
             small_spec(tmp_path, test_size=1)
+        with pytest.raises(ValueError):
+            small_spec(tmp_path, workers=0)
 
     def test_memory_guard(self, tmp_path):
         with pytest.raises(ValueError, match="memory"):
