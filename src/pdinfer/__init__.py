@@ -13,6 +13,8 @@ from .core import (
     Partition,
     SpeciesCounts,
     esf_log_pmf,
+    expected_distinct,
+    fisher_information,
     partition_of,
     predictive_prob,
 )
@@ -20,7 +22,6 @@ from .estimation import (
     PSI_MAX,
     PSI_MIN,
     PsiEstimate,
-    expected_distinct,
     fit_psi,
     fit_psi_pooled,
 )
@@ -28,7 +29,6 @@ from .hypothesis import (
     DegenerateSampleError,
     TestReport,
     chi_square_sf,
-    fisher_information,
     lm_test,
     lr_test,
     score_U,

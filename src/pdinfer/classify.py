@@ -19,7 +19,7 @@ a full sweep is O(items x classes) table lookups.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,13 +142,8 @@ def train_from_counts(per_class_counts: Sequence[SpeciesCounts]) -> TrainingMode
     return TrainingModel(classes=tuple(classes))
 
 
-def train(labeled_data: Iterable[tuple[int, int]]) -> TrainingModel:
-    """Build a training model from ``(class id, species id)`` pairs."""
-    pairs = [(int(c), int(v)) for c, v in labeled_data]
-    if not pairs:
-        raise ValueError("empty training data")
-    labels = np.fromiter((c for c, _ in pairs), dtype=np.int64, count=len(pairs))
-    values = np.fromiter((v for _, v in pairs), dtype=np.int64, count=len(pairs))
+def train(labels: np.ndarray, values: np.ndarray) -> TrainingModel:
+    """Build a training model from parallel class-id and species-id arrays."""
     return train_from_counts(counts_by_class(labels, values))
 
 

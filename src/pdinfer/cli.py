@@ -18,7 +18,9 @@ true/false/yes/no/1/0.
 
 Exit codes: 0 success (warnings allowed), 1 usage error (including
 ``experiment --workers`` below 1), 2 data/parse error (including a dataset
-with no records), 3 numeric/degeneracy error.
+with no records, a file that is not UTF-8 and class ids that are not
+contiguous), 3 numeric/degeneracy error or out of memory (one line on
+stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ import shlex
 import sys
 from collections.abc import Callable
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .classify import (
@@ -156,6 +156,17 @@ def _read(path: str) -> Dataset:
     return dataset
 
 
+def _read_classes(path: str) -> list[SpeciesCounts]:
+    """Per-class frequency tables of a labeled dataset file; a bad split is a data error."""
+    dataset = _read(path)
+    if dataset.kind != KIND_LABELED:
+        raise DatasetFormatError(f"{path}: expected a labeled dataset")
+    try:
+        return counts_by_class(dataset.labels, dataset.values)
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
+
+
 def _rho_summary(counts: SpeciesCounts) -> str:
     rho = partition_of(counts)
     return " ".join(f"{t}:{m}" for t, m in rho.rho)
@@ -190,9 +201,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         metadata["class_seeds"] = ",".join(
             str(s) for s in derive_seeds(seed, len(psis))
         )
-        pairs = sample_labeled_dataset(psis, n, seed)
-        labels = np.array([c for c, _ in pairs], dtype=np.int64)
-        values = np.array([v for _, v in pairs], dtype=np.int64)
+        labels, values = sample_labeled_dataset(psis, n, seed)
         write_dataset(out, values, labels=labels, metadata=metadata)
         print(f"wrote {out} (labeled, k={len(psis)}, n per class={n})")
         for c in range(len(psis)):
@@ -204,17 +213,12 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_mle(args: argparse.Namespace) -> int:
-    dataset = _read(args.input)
     if args.per_class:
-        if dataset.kind != KIND_LABELED:
-            raise DatasetFormatError(
-                f"{args.input}: --per-class requires a labeled dataset"
-            )
-        for c, counts in enumerate(counts_by_class(dataset.labels, dataset.values)):
+        for c, counts in enumerate(_read_classes(args.input)):
             print(f"class = {c}")
             _print_fit(fit_psi(partition_of(counts)))
     else:
-        counts = SpeciesCounts.from_values(dataset.values)
+        counts = SpeciesCounts.from_values(_read(args.input).values)
         fit = fit_psi(partition_of(counts))
         _print_fit(fit)
         if not fit.converged:
@@ -259,15 +263,9 @@ def _cmd_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    training = _read(args.train)
-    if training.kind != KIND_LABELED:
-        raise DatasetFormatError(f"{args.train}: training data must be labeled")
-    try:
-        per_class = counts_by_class(training.labels, training.values)
-        if len(per_class) < 2:
-            raise ValueError("need at least 2 training classes")
-    except ValueError as exc:
-        raise DatasetFormatError(f"{args.train}: {exc}") from None
+    per_class = _read_classes(args.train)
+    if len(per_class) < 2:
+        raise DatasetFormatError(f"{args.train}: need at least 2 training classes")
     model = train_from_counts(per_class)
 
     test = _read(args.test)
@@ -409,6 +407,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"pd-infer: numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError:
+        print("pd-infer: out of memory", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -4,8 +4,11 @@ A sample of discrete observations is summarized by its abundance partition:
 ``rho_t`` counts how many distinct species were observed exactly ``t`` times.
 Everything downstream (the Ewens sampling formula, maximum likelihood, the
 predictive probabilities of the urn scheme) depends on the data only through
-that partition, so this module owns the two data containers and the two
-probability functions that every other module builds on.
+that partition, so this module owns the two data containers, the two
+probability functions and the sums over ``psi + j`` that every other module
+builds on: the rising factorial, :func:`expected_distinct` (whose root is the
+MLE) and :func:`fisher_information`, each summed directly up to a size limit
+and in closed form beyond it.
 
 Species identifiers are opaque non-negative integers assigned by ingestion
 code in order of first appearance; no numeric result may depend on their
@@ -23,19 +26,27 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import digamma, polygamma
 
 __all__ = [
     "NEW",
     "Partition",
     "SpeciesCounts",
     "esf_log_pmf",
+    "expected_distinct",
+    "fisher_information",
     "partition_of",
     "predictive_prob",
 ]
 
-# Above this size the log rising factorial switches from explicit summation
-# to a log-gamma difference (the direct sum would allocate O(n) temporaries).
+# Largest sizes summed directly (the sums allocate O(n) temporaries); beyond
+# them the log rising factorial takes log-gamma and the other two sums take
+# digamma/trigamma forms. These agree with the sums within the bounds of
+# tests/test_core.py but not bit for bit, so the limits fix outputs: a log-sum
+# limit of 1e6 changes the benchmark's `files` test_lrt digest at seed 2, a
+# sum limit of 1e5 its mle and mle_remapped digests at seeds 1 and 2.
 _DIRECT_LOG_SUM_LIMIT = 100_000
+_DIRECT_SUM_LIMIT = 1_000_000
 
 
 class _NewSpecies:
@@ -191,6 +202,43 @@ def _log_rising_factorial(psi: float, n: int) -> float:
     if n <= _DIRECT_LOG_SUM_LIMIT:
         return float(np.log(psi + np.arange(n, dtype=np.float64)).sum())
     return math.lgamma(psi + n) - math.lgamma(psi)
+
+
+def expected_distinct(psi: float, n: int) -> float:
+    """Expected number of distinct species in a sample of size ``n``.
+
+    Equals ``sum_{j=1..n} psi / (psi + j - 1)``; strictly increasing in
+    ``psi`` with range ``(1, n)`` for ``n >= 2``.
+    """
+    psi = _check_psi(psi)
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"sample size must be at least 1, got {n}")
+    if n <= _DIRECT_SUM_LIMIT:
+        return float((psi / (psi + np.arange(n, dtype=np.float64))).sum())
+    return float(psi * (digamma(psi + n) - digamma(psi)))
+
+
+def fisher_information(psi0: float, n: int) -> float:
+    """Fisher information ``sum_i (1/(psi0 (psi0+i-1)) - 1/(psi0+i-1)^2)``.
+
+    Computed from the equivalent all-positive form
+    ``sum_i (i-1) / (psi0 (psi0+i-1)^2)``, which avoids cancellation.
+    Strictly positive for ``n >= 2``; a single observation carries no
+    information about ``psi``.
+    """
+    psi0 = _check_psi(psi0)
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"sample size must be at least 1, got {n}")
+    if n == 1:
+        raise ValueError("information is zero: test undefined for n=1")
+    if n <= _DIRECT_SUM_LIMIT:
+        shifted = psi0 + np.arange(1, n, dtype=np.float64)
+        return float((np.arange(1, n, dtype=np.float64) / (psi0 * shifted**2)).sum())
+    harmonic = expected_distinct(psi0, n) / psi0
+    trigamma_drop = float(polygamma(1, psi0) - polygamma(1, psi0 + n))
+    return harmonic / psi0 - trigamma_drop
 
 
 def esf_log_pmf(rho: Partition, psi: float) -> float:

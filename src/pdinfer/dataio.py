@@ -118,43 +118,48 @@ def read_dataset(path: str | Path) -> Dataset:
     """Parse a dataset file, checking the header and the declared size.
 
     Raises:
-        DatasetFormatError: on any malformed content, naming the line number.
+        DatasetFormatError: on malformed content, naming the line number, or
+            on text that is not UTF-8; the message starts with the path.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        first = handle.readline()
-        match = _MAGIC_RE.match(first)
-        if not match:
-            raise DatasetFormatError(
-                f"line 1: expected '# {FORMAT_VERSION} labeled|unlabeled n=<N>' "
-                f"header, got {first.strip()!r}"
-            )
-        kind = match.group(1)
-        declared_n = int(match.group(2))
-        labeled = kind == KIND_LABELED
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            first = handle.readline()
+            match = _MAGIC_RE.match(first)
+            if not match:
+                raise DatasetFormatError(
+                    f"line 1: expected '# {FORMAT_VERSION} labeled|unlabeled n=<N>' "
+                    f"header, got {first.strip()!r}"
+                )
+            kind = match.group(1)
+            declared_n = int(match.group(2))
+            labeled = kind == KIND_LABELED
 
-        metadata: dict[str, str] = {}
-        values: list[int] = []
-        labels: list[int] = []
-        for line_number, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                meta = _META_RE.match(line)
-                if meta:
-                    metadata[meta.group(1)] = meta.group(2)
-                continue
-            record = _parse_record(line, line_number, labeled)
-            if labeled:
-                labels.append(record[0])
-                values.append(record[1])
-            else:
-                values.append(record)
-
-    if len(values) != declared_n:
-        raise DatasetFormatError(
-            f"header declares n={declared_n} but file contains {len(values)} records"
-        )
+            metadata: dict[str, str] = {}
+            values: list[int] = []
+            labels: list[int] = []
+            for line_number, line in enumerate(handle, start=2):
+                if not line.strip():
+                    continue
+                if line.startswith("#"):
+                    meta = _META_RE.match(line)
+                    if meta:
+                        metadata[meta.group(1)] = meta.group(2)
+                    continue
+                record = _parse_record(line, line_number, labeled)
+                if labeled:
+                    labels.append(record[0])
+                    values.append(record[1])
+                else:
+                    values.append(record)
+            if len(values) != declared_n:
+                raise DatasetFormatError(
+                    f"header declares n={declared_n} but file contains {len(values)} records"
+                )
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except DatasetFormatError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
     return Dataset(
         kind=kind,
         values=np.asarray(values, dtype=np.int64),

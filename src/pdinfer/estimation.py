@@ -9,7 +9,8 @@ so a plain bisection over a wide fixed bracket finds the root whenever
 ``1 < k_obs < n``. The boundary cases (a single species, or all species
 distinct) have no interior root; they are reported as flagged boundary
 estimates rather than errors so that downstream consumers such as the
-classifiers can keep operating on degenerate training classes.
+classifiers can keep operating on degenerate training classes. The sum
+itself, :func:`expected_distinct`, lives in :mod:`pdinfer.core`.
 """
 
 from __future__ import annotations
@@ -17,10 +18,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.special import digamma
-
-from .core import Partition, _check_psi
+from .core import Partition, expected_distinct
 
 __all__ = [
     "MAX_ITERATIONS",
@@ -32,7 +30,6 @@ __all__ = [
     "STATUS_DEGENERATE_HIGH",
     "STATUS_DEGENERATE_LOW",
     "PsiEstimate",
-    "expected_distinct",
     "fit_psi",
     "fit_psi_pooled",
 ]
@@ -49,11 +46,6 @@ MAX_ITERATIONS = 200
 STATUS_CONVERGED = "converged"
 STATUS_DEGENERATE_LOW = "degenerate_low"
 STATUS_DEGENERATE_HIGH = "degenerate_high"
-
-# Direct summation beyond this length would be slow and memory-hungry; the
-# digamma identity is exact and matches the sum to well under 1e-9 at the
-# crossover (verified in the test suite).
-_DIRECT_SUM_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -77,21 +69,6 @@ class PsiEstimate:
     @property
     def converged(self) -> bool:
         return self.status == STATUS_CONVERGED
-
-
-def expected_distinct(psi: float, n: int) -> float:
-    """Expected number of distinct species in a sample of size ``n``.
-
-    Equals ``sum_{j=1..n} psi / (psi + j - 1)``; strictly increasing in
-    ``psi`` with range ``(1, n)`` for ``n >= 2``.
-    """
-    psi = _check_psi(psi)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"sample size must be at least 1, got {n}")
-    if n <= _DIRECT_SUM_LIMIT:
-        return float((psi / (psi + np.arange(n, dtype=np.float64))).sum())
-    return float(psi * (digamma(psi + n) - digamma(psi)))
 
 
 def _expected_total(psi: float, sizes: Sequence[int]) -> float:

@@ -4,7 +4,8 @@ Two procedures: a Lagrange multiplier (score) test of ``psi = psi0`` for a
 single sample, and a likelihood ratio test of a common ``psi`` across
 several samples. Both statistics are referred to chi-square distributions
 (1 degree of freedom for the score test, ``s - 1`` for the ratio test over
-``s`` samples).
+``s`` samples). The sums behind them (:func:`fisher_information`,
+:func:`expected_distinct`, the Ewens pmf) live in :mod:`pdinfer.core`.
 """
 
 from __future__ import annotations
@@ -12,17 +13,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.special import gammaincc, polygamma
+from scipy.special import gammaincc
 
-from .core import Partition, _check_psi, esf_log_pmf
-from .estimation import (
-    PsiEstimate,
-    _DIRECT_SUM_LIMIT,
-    expected_distinct,
-    fit_psi,
-    fit_psi_pooled,
-)
+from .core import Partition, _check_psi, esf_log_pmf, expected_distinct, fisher_information
+from .estimation import PsiEstimate, fit_psi, fit_psi_pooled
 
 __all__ = [
     "METHOD_LAGRANGE_MULTIPLIER",
@@ -30,7 +24,6 @@ __all__ = [
     "DegenerateSampleError",
     "TestReport",
     "chi_square_sf",
-    "fisher_information",
     "lm_test",
     "lr_test",
     "score_U",
@@ -82,28 +75,6 @@ def score_U(rho: Partition, psi0: float) -> float:
     """
     psi0 = _check_psi(psi0)
     return (rho.k_obs - expected_distinct(psi0, rho.n)) / psi0
-
-
-def fisher_information(psi0: float, n: int) -> float:
-    """Fisher information ``sum_i (1/(psi0 (psi0+i-1)) - 1/(psi0+i-1)^2)``.
-
-    Computed from the equivalent all-positive form
-    ``sum_i (i-1) / (psi0 (psi0+i-1)^2)``, which avoids cancellation.
-    Strictly positive for ``n >= 2``; a single observation carries no
-    information about ``psi``.
-    """
-    psi0 = _check_psi(psi0)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"sample size must be at least 1, got {n}")
-    if n == 1:
-        raise ValueError("information is zero: test undefined for n=1")
-    if n <= _DIRECT_SUM_LIMIT:
-        shifted = psi0 + np.arange(1, n, dtype=np.float64)
-        return float((np.arange(1, n, dtype=np.float64) / (psi0 * shifted**2)).sum())
-    harmonic = expected_distinct(psi0, n) / psi0
-    trigamma_drop = float(polygamma(1, psi0) - polygamma(1, psi0 + n))
-    return harmonic / psi0 - trigamma_drop
 
 
 def lm_test(rho: Partition, psi0: float) -> TestReport:

@@ -112,15 +112,15 @@ def sample_sequence(config: UrnConfig) -> GeneratedSequence:
 
 def sample_labeled_dataset(
     psis: Sequence[float], per_class_size: int, seed: int
-) -> list[tuple[int, int]]:
-    """Generate one independent sequence per class as ``(class, species)`` pairs.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Generate one independent sequence per class as ``(labels, values)`` arrays.
 
     Class ``c`` gets its own urn with dispersal ``psis[c]`` and the derived
     seed ``derive_seeds(seed, k)[c]``, so classes are independent and the
-    class sizes are exactly balanced. Species ids are per-class
-    first-appearance ids; id ``i`` denotes the same feature value in every
-    class, which makes the dispersal parameters the only class-separating
-    signal.
+    class sizes are exactly balanced; the classes follow one another in
+    label order. Species ids are per-class first-appearance ids; id ``i``
+    denotes the same feature value in every class, which makes the
+    dispersal parameters the only class-separating signal.
     """
     k = len(psis)
     if k < 1:
@@ -128,8 +128,9 @@ def sample_labeled_dataset(
     if int(per_class_size) < 1:
         raise ValueError(f"per-class size must be at least 1, got {per_class_size}")
     class_seeds = derive_seeds(seed, k)
-    pairs: list[tuple[int, int]] = []
-    for label, (psi, class_seed) in enumerate(zip(psis, class_seeds)):
-        sequence = sample_sequence(UrnConfig(psi, int(per_class_size), class_seed))
-        pairs.extend((label, int(v)) for v in sequence.values)
-    return pairs
+    labels = np.repeat(np.arange(k, dtype=np.int64), int(per_class_size))
+    values = np.concatenate([
+        sample_sequence(UrnConfig(psi, int(per_class_size), class_seed)).values
+        for psi, class_seed in zip(psis, class_seeds)
+    ])
+    return labels, values

@@ -49,22 +49,22 @@ class TestTrain:
 
     def test_degenerate_classes_warn_but_train(self):
         with pytest.warns(DegenerateClassWarning):
-            model = train([(0, 1), (0, 1), (1, 4), (1, 4)])
+            model = train([0, 0, 1, 1], [1, 1, 4, 4])
         assert model.k == 2
         assert model.classes[0].psi_hat.status == "degenerate_low"
         assert model.classes[1].psi_hat.status == "degenerate_low"
 
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
-            train([(0, 1), (0, 2)])
+            train([0, 0], [1, 2])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            train([])
+            train([], [])
 
     def test_rejects_non_contiguous_ids(self):
         with pytest.raises(ValueError, match="contiguous"):
-            train([(0, 1), (2, 1)])
+            train([0, 2], [1, 1])
 
     def test_counts_by_class_splits(self):
         counts = counts_by_class(np.array([0, 1, 0]), np.array([5, 6, 5]))
@@ -91,8 +91,7 @@ class TestMarginalLogScore:
 
     def test_unseen_everywhere_goes_to_highest_dispersal(self):
         # equal class sizes; value unseen in every class
-        pairs = sample_labeled_dataset([1.0, 10.0, 50.0], 400, 13)
-        model = train(pairs)
+        model = train(*sample_labeled_dataset([1.0, 10.0, 50.0], 400, 13))
         psi_hats = [cm.psi_hat.psi_hat for cm in model.classes]
         assert psi_hats[2] == max(psi_hats)
         unseen = 10**6
@@ -185,8 +184,7 @@ class TestClassifySimultaneous:
             assert joint.converged and joint.sweeps == 1
 
     def test_greedy_ascent_beats_initialization(self):
-        pairs = sample_labeled_dataset([1.0, 10.0, 50.0], 300, 17)
-        model = train(pairs)
+        model = train(*sample_labeled_dataset([1.0, 10.0, 50.0], 300, 17))
         test_values = np.concatenate(
             [
                 sample_sequence(UrnConfig(psi, 500, seed)).values
@@ -253,8 +251,7 @@ class TestClassifySimultaneous:
         assert result.labeling[0] == 0  # seen only in the degenerate class
 
     def test_sweep_cap_reports_not_converged(self, monkeypatch):
-        pairs = sample_labeled_dataset([2.0, 20.0], 200, 22)
-        model = train(pairs)
+        model = train(*sample_labeled_dataset([2.0, 20.0], 200, 22))
         values = sample_sequence(UrnConfig(8.0, 300, 23)).values
         free = classify_simultaneous(model, values)
         # the first sweep moved items away from the marginal labeling

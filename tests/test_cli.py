@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pdinfer import read_dataset
+from pdinfer import read_dataset, sampling
 from pdinfer.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 
@@ -475,6 +475,45 @@ class TestExitCodes:
         code, _, stderr = run(capsys, *(arg.format(**paths) for arg in argv))
         assert code == EXIT_DATA
         assert "empty" in stderr
+
+    def test_non_utf8_dataset_data_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.tsv"
+        path.write_bytes(b"# pd-infer v1 unlabeled n=1\n\xff\n")
+        code, _, stderr = run(capsys, "mle", "--input", str(path))
+        assert code == EXIT_DATA
+        assert str(path) in stderr and "UTF-8" in stderr
+
+    def test_lrt_data_error_names_file(self, aab_file, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("# pd-infer v1 unlabeled n=2\n0\nnope\n")
+        code, _, stderr = run(capsys, "test", "--mode", "lrt", "--input", str(aab_file), str(bad))
+        assert code == EXIT_DATA
+        assert f"{bad}: line 3" in stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mle", "--input", "{gap}", "--per-class"],
+            ["classify", "--mode", "marginal", "--train", "{gap}", "--test", "{gap}",
+             "--out", "{out}"],
+        ],
+    )
+    def test_non_contiguous_classes_data_error(self, tmp_path, capsys, argv):
+        paths = {"gap": tmp_path / "gap.tsv", "out": tmp_path / "r.tsv"}
+        paths["gap"].write_text("# pd-infer v1 labeled n=4\n0\t0\n0\t1\n2\t0\n2\t2\n")
+        code, _, stderr = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == EXIT_DATA
+        assert f"{paths['gap']}: class ids must be contiguous" in stderr
+
+    def test_out_of_memory_numeric_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(psi, n, rng):
+            raise MemoryError("Unable to allocate 7.45 GiB")
+
+        monkeypatch.setattr(sampling, "_urn_values", exhausted)
+        code, _, stderr = run(capsys, "sample", "--psi", "1", "--n", "5",
+                              "--out", str(tmp_path / "x.tsv"))
+        assert code == EXIT_NUMERIC
+        assert stderr == "pd-infer: out of memory\n"
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -14,9 +14,12 @@ from pdinfer import (
     Partition,
     SpeciesCounts,
     esf_log_pmf,
+    expected_distinct,
+    fisher_information,
     partition_of,
     predictive_prob,
 )
+from pdinfer.core import _DIRECT_LOG_SUM_LIMIT, _DIRECT_SUM_LIMIT, _log_rising_factorial
 
 from oracles import esf_prob_exact, integer_partitions
 
@@ -184,6 +187,35 @@ class TestEsfLogPmf:
             - math.lgamma(50_001)
         )
         np.testing.assert_allclose(got, direct, rtol=1e-12)
+
+
+class TestSumPaths:
+    """Each Ewens sum at its last directly summed size and the first closed-form one.
+
+    The references are the plain float sums, so the closed forms are pinned
+    to the sums they replace and the direct paths to their own definition.
+    """
+
+    PSIS = (0.5, 10.0, 1234.5)
+
+    def test_log_rising_factorial_both_paths(self):
+        for n in (_DIRECT_LOG_SUM_LIMIT, _DIRECT_LOG_SUM_LIMIT + 1):
+            for psi in self.PSIS:
+                direct = np.log(psi + np.arange(n, dtype=np.float64)).sum()
+                np.testing.assert_allclose(_log_rising_factorial(psi, n), direct, rtol=1e-12)
+
+    def test_expected_distinct_both_paths(self):
+        for n in (_DIRECT_SUM_LIMIT, _DIRECT_SUM_LIMIT + 1):
+            for psi in self.PSIS:
+                direct = (psi / (psi + np.arange(n, dtype=np.float64))).sum()
+                np.testing.assert_allclose(expected_distinct(psi, n), direct, rtol=0, atol=1e-9)
+
+    def test_fisher_information_both_paths(self):
+        for n in (_DIRECT_SUM_LIMIT, _DIRECT_SUM_LIMIT + 1):
+            i = np.arange(1, n, dtype=np.float64)
+            for psi in self.PSIS:
+                direct = (i / (psi * (psi + i) ** 2)).sum()
+                np.testing.assert_allclose(fisher_information(psi, n), direct, rtol=1e-9)
 
 
 class TestPredictiveProb:

@@ -18,7 +18,7 @@ from pdinfer import (
     sample_sequence,
     score_U,
 )
-from pdinfer.estimation import RESIDUAL_TOL, _DIRECT_SUM_LIMIT
+from pdinfer.estimation import RESIDUAL_TOL
 
 from oracles import expected_distinct_exact
 
@@ -52,17 +52,6 @@ class TestExpectedDistinct:
         values = [expected_distinct(psi, 50) for psi in (0.1, 1.0, 5.0, 80.0)]
         assert values == sorted(values)
         assert all(1.0 < v < 50.0 for v in values[1:])
-
-    def test_digamma_branch_matches_direct_sum(self):
-        # the closed form used beyond the summation limit must agree with
-        # the sum it replaces to well under 1e-9 at the crossover size
-        n = _DIRECT_SUM_LIMIT
-        for psi in (0.5, 10.0, 1234.5):
-            direct = float((psi / (psi + np.arange(n, dtype=np.float64))).sum())
-            from scipy.special import digamma
-
-            closed = float(psi * (digamma(psi + n) - digamma(psi)))
-            np.testing.assert_allclose(closed, direct, rtol=0, atol=1e-9)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

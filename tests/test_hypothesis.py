@@ -58,16 +58,6 @@ class TestFisherInformation:
             for n in (2, 3, 17, 500):
                 assert fisher_information(psi, n) > 0.0
 
-    def test_large_n_branch_matches_direct(self):
-        from pdinfer.estimation import _DIRECT_SUM_LIMIT
-        from scipy.special import polygamma
-
-        n, psi = _DIRECT_SUM_LIMIT, 3.0
-        direct = fisher_information(psi, n)
-        harmonic = float((1.0 / (psi + np.arange(n, dtype=np.float64))).sum())
-        closed = harmonic / psi - float(polygamma(1, psi) - polygamma(1, psi + n))
-        np.testing.assert_allclose(closed, direct, rtol=1e-9)
-
 
 class TestChiSquareSf:
     def test_at_zero(self):

@@ -108,22 +108,23 @@ class TestSampleSequence:
 
 class TestSampleLabeledDataset:
     def test_reduces_to_sample_sequence(self):
-        pairs = sample_labeled_dataset([4.0], 200, 77)
+        labels, values = sample_labeled_dataset([4.0], 200, 77)
         expected = sample_sequence(UrnConfig(4.0, 200, derive_seeds(77, 1)[0]))
-        assert [c for c, _ in pairs] == [0] * 200
-        assert [v for _, v in pairs] == expected.values.tolist()
+        assert labels.tolist() == [0] * 200
+        assert values.tolist() == expected.values.tolist()
 
     def test_balanced_and_deterministic(self):
-        pairs = sample_labeled_dataset([1.0, 10.0, 50.0], 500, 5)
-        assert len(pairs) == 1500
-        label_counts = Counter(c for c, _ in pairs)
+        labels, values = sample_labeled_dataset([1.0, 10.0, 50.0], 500, 5)
+        assert len(labels) == len(values) == 1500
+        label_counts = Counter(labels.tolist())
         assert label_counts == {0: 500, 1: 500, 2: 500}
-        assert pairs == sample_labeled_dataset([1.0, 10.0, 50.0], 500, 5)
+        again = sample_labeled_dataset([1.0, 10.0, 50.0], 500, 5)
+        assert labels.tolist() == again[0].tolist() and values.tolist() == again[1].tolist()
 
     def test_classes_are_independent_streams(self):
-        pairs = sample_labeled_dataset([2.0, 2.0], 300, 9)
-        first = [v for c, v in pairs if c == 0]
-        second = [v for c, v in pairs if c == 1]
+        labels, values = sample_labeled_dataset([2.0, 2.0], 300, 9)
+        first = values[labels == 0].tolist()
+        second = values[labels == 1].tolist()
         assert first != second
 
     def test_fitted_dispersal_ordering(self):
