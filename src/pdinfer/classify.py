@@ -164,23 +164,23 @@ def _score_inputs(
     model: TrainingModel, unique_values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Training counts (values x classes), class sizes and dispersals."""
-    train_counts = np.array(
-        [
-            [cm.value_counts.counts.get(v, 0) for cm in model.classes]
-            for v in unique_values.tolist()
-        ],
-        dtype=np.float64,
-    )
+    train_counts = np.stack([cm.value_counts.count_of(unique_values) for cm in model.classes], 1)
     m_c = np.array([cm.m_c for cm in model.classes], dtype=np.float64)
     psi = np.array([cm.psi_hat.psi_hat for cm in model.classes])
     return train_counts, m_c, psi
 
 
+def _class_log_factor(model: TrainingModel, value: int, class_id: int, q: int) -> float:
+    """Log factor of one of ``q`` co-assigned test items holding ``value`` in class ``class_id``."""
+    if not 0 <= class_id < model.k:
+        raise ValueError(f"class id {class_id} out of range")
+    cm = model.classes[class_id]
+    return float(_log_factor(cm.value_counts.count_of(value), q, cm.m_c, cm.psi_hat.psi_hat))
+
+
 def marginal_log_score(model: TrainingModel, item_value: int, class_id: int) -> float:
     """Log predictive probability of one value under one class's training data."""
-    class_model = model.classes[class_id]
-    m_cl = class_model.value_counts.counts.get(int(item_value), 0)
-    return float(_log_factor(m_cl, 1, class_model.m_c, class_model.psi_hat.psi_hat))
+    return _class_log_factor(model, item_value, class_id, 1)
 
 
 def _as_test_values(test_values: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -234,15 +234,9 @@ def simultaneous_log_score(
         raise ValueError("labeling and test values must have the same length")
     if not 0 <= item < values.size:
         raise ValueError(f"item index {item} out of range")
-    if not 0 <= class_id < model.k:
-        raise ValueError(f"class id {class_id} out of range")
     twins = (values == values[item]) & (labeling == class_id)
     n_icl = int(twins.sum()) - int(twins[item])
-    class_model = model.classes[class_id]
-    m_cl = class_model.value_counts.counts.get(int(values[item]), 0)
-    return float(
-        _log_factor(m_cl, n_icl + 1, class_model.m_c, class_model.psi_hat.psi_hat)
-    )
+    return _class_log_factor(model, values[item], class_id, n_icl + 1)
 
 
 def _greedy_sweeps(

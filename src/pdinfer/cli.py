@@ -16,10 +16,12 @@ before the command line's own flags, which therefore win; an unknown key is a
 usage error. ``--per-class`` and ``--score-against-truth`` optionally take
 true/false/yes/no/1/0.
 
-Exit codes: 0 success (warnings allowed), 1 usage error (including
-``experiment --workers`` below 1), 2 data/parse error (including a dataset
-with no records, a file that is not UTF-8 and class ids that are not
-contiguous), 3 numeric/degeneracy error or out of memory (one line on
+Exit codes: 0 success (warnings allowed; each degenerate fit adds one
+``pd-infer: warning: ...`` line on stderr), 1 usage error (including
+``experiment --workers`` below 1 and a study whose estimated memory, which
+grows with ``--replicates``, exceeds the cap), 2 data/parse error (including
+a dataset with no records, a file that is not UTF-8 and class ids that are
+not contiguous), 3 numeric/degeneracy error or out of memory (one line on
 stderr, no traceback).
 """
 
@@ -29,17 +31,19 @@ import argparse
 import math
 import shlex
 import sys
+import warnings
 from collections.abc import Callable
 from pathlib import Path
 
 from . import __version__
 from .classify import (
+    DegenerateClassWarning,
     classify_marginal,
     classify_simultaneous,
     counts_by_class,
     train_from_counts,
 )
-from .core import SpeciesCounts, _check_psi, partition_of
+from .core import Partition, SpeciesCounts, _check_psi, partition_of
 from .dataio import (
     Dataset,
     DatasetFormatError,
@@ -156,6 +160,10 @@ def _read(path: str) -> Dataset:
     return dataset
 
 
+def _read_partition(path: str) -> Partition:
+    return partition_of(SpeciesCounts.from_values(_read(path).values))
+
+
 def _read_classes(path: str) -> list[SpeciesCounts]:
     """Per-class frequency tables of a labeled dataset file; a bad split is a data error."""
     dataset = _read(path)
@@ -167,18 +175,28 @@ def _read_classes(path: str) -> list[SpeciesCounts]:
         raise DatasetFormatError(f"{path}: {exc}") from None
 
 
-def _rho_summary(counts: SpeciesCounts) -> str:
-    rho = partition_of(counts)
-    return " ".join(f"{t}:{m}" for t, m in rho.rho)
+def _print_counts(counts: SpeciesCounts) -> None:
+    print(f"k_obs = {counts.k_obs}")
+    print("rho = " + " ".join(f"{t}:{m}" for t, m in partition_of(counts).rho))
 
 
-def _print_fit(fit: PsiEstimate, prefix: str = "") -> None:
-    print(f"{prefix}n = {fit.n}")
-    print(f"{prefix}k_obs = {fit.k_obs}")
-    print(f"{prefix}psi_hat = {fit.psi_hat:.12g}")
-    print(f"{prefix}residual = {fit.residual:.6g}")
-    print(f"{prefix}iterations = {fit.iterations}")
-    print(f"{prefix}status = {fit.status}")
+def _warn_degenerate(subject: str, fit: PsiEstimate) -> None:
+    if not fit.converged:
+        print(
+            f"pd-infer: warning: {subject}: dispersal fit is {fit.status}; "
+            f"psi_hat is the bracket boundary {fit.psi_hat:g}",
+            file=sys.stderr,
+        )
+
+
+def _print_fit(fit: PsiEstimate, subject: str) -> None:
+    print(f"n = {fit.n}")
+    print(f"k_obs = {fit.k_obs}")
+    print(f"psi_hat = {fit.psi_hat:.12g}")
+    print(f"residual = {fit.residual:.6g}")
+    print(f"iterations = {fit.iterations}")
+    print(f"status = {fit.status}")
+    _warn_degenerate(subject, fit)
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -195,8 +213,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         sequence = sample_sequence(UrnConfig(psis[0], n, seed))
         write_dataset(out, sequence.values, metadata=metadata)
         print(f"wrote {out} (unlabeled, n={n})")
-        print(f"k_obs = {sequence.counts.k_obs}")
-        print(f"rho = {_rho_summary(sequence.counts)}")
+        _print_counts(sequence.counts)
     else:
         metadata["class_seeds"] = ",".join(
             str(s) for s in derive_seeds(seed, len(psis))
@@ -204,11 +221,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         labels, values = sample_labeled_dataset(psis, n, seed)
         write_dataset(out, values, labels=labels, metadata=metadata)
         print(f"wrote {out} (labeled, k={len(psis)}, n per class={n})")
-        for c in range(len(psis)):
-            counts = SpeciesCounts.from_values(values[labels == c])
+        for c, counts in enumerate(counts_by_class(labels, values)):
             print(f"class = {c}")
-            print(f"k_obs = {counts.k_obs}")
-            print(f"rho = {_rho_summary(counts)}")
+            _print_counts(counts)
     return EXIT_OK
 
 
@@ -216,17 +231,9 @@ def _cmd_mle(args: argparse.Namespace) -> int:
     if args.per_class:
         for c, counts in enumerate(_read_classes(args.input)):
             print(f"class = {c}")
-            _print_fit(fit_psi(partition_of(counts)))
+            _print_fit(fit_psi(partition_of(counts)), f"class {c}")
     else:
-        counts = SpeciesCounts.from_values(_read(args.input).values)
-        fit = fit_psi(partition_of(counts))
-        _print_fit(fit)
-        if not fit.converged:
-            print(
-                f"warning: degenerate sample ({fit.status}); "
-                f"psi_hat is the bracket boundary",
-                file=sys.stderr,
-            )
+        _print_fit(fit_psi(_read_partition(args.input)), args.input)
     return EXIT_OK
 
 
@@ -237,28 +244,21 @@ def _cmd_test(args: argparse.Namespace) -> int:
             raise UsageError("--mode lm requires exactly one --input file")
         if args.psi0 is None:
             raise UsageError("--mode lm requires --psi0")
-        rho = partition_of(SpeciesCounts.from_values(_read(inputs[0]).values))
-        report = lm_test(rho, args.psi0)
-        print(f"method = {report.method}")
-        print(f"statistic = {report.statistic:.12g}")
-        print(f"df = {report.df}")
-        print(f"p_value = {report.p_value:.12g}")
-        print(f"psi0 = {args.psi0:.12g}")
-        fit = fit_psi(rho)
-        print(f"psi_hat = {fit.psi_hat:.12g}")
-        print(f"psi_hat_status = {fit.status}")
+        rho = _read_partition(inputs[0])
+        report, fit = lm_test(rho, args.psi0), fit_psi(rho)
+        tail = [f"psi0 = {args.psi0:.12g}", f"psi_hat = {fit.psi_hat:.12g}",
+                f"psi_hat_status = {fit.status}"]
     else:
         if len(inputs) < 2:
             raise UsageError("--mode lrt requires at least two --input files")
-        partitions = [partition_of(SpeciesCounts.from_values(_read(path).values)) for path in inputs]
-        report = lr_test(partitions)
-        print(f"method = {report.method}")
-        print(f"statistic = {report.statistic:.12g}")
-        print(f"df = {report.df}")
-        print(f"p_value = {report.p_value:.12g}")
-        for index, fit in enumerate(report.per_sample_psi):
-            print(f"psi_hat_{index} = {fit.psi_hat:.12g}")
-        print(f"psi_hat_pooled = {report.pooled_psi.psi_hat:.12g}")
+        report = lr_test([_read_partition(path) for path in inputs])
+        fits = [*enumerate(report.per_sample_psi), ("pooled", report.pooled_psi)]
+        tail = [f"psi_hat_{name} = {fit.psi_hat:.12g}" for name, fit in fits]
+    print(f"method = {report.method}")
+    print(f"statistic = {report.statistic:.12g}")
+    print(f"df = {report.df}")
+    print(f"p_value = {report.p_value:.12g}")
+    print(*tail, sep="\n")
     return EXIT_OK
 
 
@@ -266,7 +266,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     per_class = _read_classes(args.train)
     if len(per_class) < 2:
         raise DatasetFormatError(f"{args.train}: need at least 2 training classes")
-    model = train_from_counts(per_class)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateClassWarning)
+        model = train_from_counts(per_class)
+    for class_model in model.classes:
+        _warn_degenerate(f"class {class_model.class_id}", class_model.psi_hat)
 
     test = _read(args.test)
     if args.score_against_truth and test.kind != KIND_LABELED:

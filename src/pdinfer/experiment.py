@@ -100,13 +100,18 @@ class ExperimentSpec:
         return len(self.psis)
 
     def estimated_memory_bytes(self) -> int:
-        """Rough upper bound on peak working memory for one replicate."""
+        """Rough upper bound on peak working memory, counting what each replicate keeps."""
         pool_per_class = max(self.training_sizes) // self.k
         test_per_class = self.test_size // self.k
         stored = 8 * self.k * (pool_per_class + test_per_class)
         # generation temporaries: a handful of length-n arrays at once
         transient = 48 * max(pool_per_class, test_per_class)
-        return 2 * (stored + transient)
+        # kept for the whole run, per replicate: its job and pending result
+        # (measured at 0.6 KB serially, 2 KB on the process pool), 2k derived
+        # seeds and one metrics row per training size (measured at about 22
+        # and 233 bytes; 64 and 512 bound them)
+        per_replicate = 2048 + 64 * 2 * self.k + 512 * len(self.training_sizes)
+        return 2 * (stored + transient) + self.replicates * per_replicate
 
 
 @dataclass(frozen=True)

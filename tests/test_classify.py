@@ -37,7 +37,7 @@ def hand_model():
     # two small classes with interior (converged) fits:
     # class 0: {0:2, 1:1} -> psi_hat = sqrt(2); class 1: {0:1, 1:1, 2:3}
     return quiet_model(
-        [SpeciesCounts({0: 2, 1: 1}), SpeciesCounts({0: 1, 1: 1, 2: 3})]
+        [SpeciesCounts([0, 1], [2, 1]), SpeciesCounts([0, 1, 2], [1, 1, 3])]
     )
 
 
@@ -68,26 +68,32 @@ class TestTrain:
 
     def test_counts_by_class_splits(self):
         counts = counts_by_class(np.array([0, 1, 0]), np.array([5, 6, 5]))
-        assert counts[0] == SpeciesCounts({5: 2})
-        assert counts[1] == SpeciesCounts({6: 1})
+        assert counts[0] == SpeciesCounts([5], [2])
+        assert counts[1] == SpeciesCounts([6], [1])
 
 
 class TestMarginalLogScore:
     def test_seen_value(self):
         # class counts {a:3, b:1}, psi-hat forced to 1 via a degenerate
         # partner is messy; check against predictive arithmetic instead
-        model = quiet_model([SpeciesCounts({0: 3, 1: 1}), SpeciesCounts({0: 4})])
+        model = quiet_model([SpeciesCounts([0, 1], [3, 1]), SpeciesCounts([0], [4])])
         psi0 = model.classes[0].psi_hat.psi_hat
         np.testing.assert_allclose(
             marginal_log_score(model, 0, 0), math.log(3.0 / (4.0 + psi0)), rtol=1e-14
         )
 
     def test_unseen_value(self):
-        model = quiet_model([SpeciesCounts({0: 3, 1: 1}), SpeciesCounts({0: 4})])
+        model = quiet_model([SpeciesCounts([0, 1], [3, 1]), SpeciesCounts([0], [4])])
         psi0 = model.classes[0].psi_hat.psi_hat
         np.testing.assert_allclose(
             marginal_log_score(model, 9, 0), math.log(psi0 / (4.0 + psi0)), rtol=1e-14
         )
+
+    @pytest.mark.parametrize("class_id", [-1, 2])
+    def test_class_id_out_of_range(self, hand_model, class_id):
+        # both sides of 0..k-1: -1 would silently index the last class
+        with pytest.raises(ValueError, match="class id"):
+            marginal_log_score(hand_model, 0, class_id)
 
     def test_unseen_everywhere_goes_to_highest_dispersal(self):
         # equal class sizes; value unseen in every class
@@ -125,7 +131,7 @@ class TestClassifyMarginal:
         assert np.array_equal(direct[permutation], permuted)
 
     def test_tie_breaks_to_lowest_class(self):
-        model = quiet_model([SpeciesCounts({0: 2}), SpeciesCounts({1: 2})])
+        model = quiet_model([SpeciesCounts([0], [2]), SpeciesCounts([1], [2])])
         # value 5 unseen in both classes; identical sizes and fits -> tie
         result = classify_marginal(model, [5])
         assert result.labeling.tolist() == [0]
@@ -151,7 +157,7 @@ class TestSimultaneousLogScore:
     def test_seen_value_with_twins(self):
         # training counts {a:3, b:1}: two co-assigned twins give
         # (3+2) / (4+2+psi)
-        model = quiet_model([SpeciesCounts({0: 3, 1: 1}), SpeciesCounts({0: 4})])
+        model = quiet_model([SpeciesCounts([0, 1], [3, 1]), SpeciesCounts([0], [4])])
         psi0 = model.classes[0].psi_hat.psi_hat
         values = np.array([0, 0, 0])
         labeling = np.array([0, 0, 0])
@@ -162,7 +168,7 @@ class TestSimultaneousLogScore:
         )
 
     def test_unseen_value_with_twin(self):
-        model = quiet_model([SpeciesCounts({0: 3, 1: 1}), SpeciesCounts({0: 4})])
+        model = quiet_model([SpeciesCounts([0, 1], [3, 1]), SpeciesCounts([0], [4])])
         psi0 = model.classes[0].psi_hat.psi_hat
         values = np.array([9, 9])
         labeling = np.array([0, 0])
@@ -233,8 +239,8 @@ class TestClassifySimultaneous:
         # distinct sizes and distinct-species counts keep every score
         # comparison tie-free, so the argmax commutes with relabeling
         counts = [
-            SpeciesCounts({0: 5, 1: 2, 3: 1}),
-            SpeciesCounts({0: 1, 2: 4, 4: 2, 5: 1}),
+            SpeciesCounts([0, 1, 3], [5, 2, 1]),
+            SpeciesCounts([0, 2, 4, 5], [1, 4, 2, 1]),
         ]
         values = [0, 2, 3, 4, 0, 2, 7]
         forward = classify_simultaneous(quiet_model(counts), values)
@@ -244,7 +250,7 @@ class TestClassifySimultaneous:
     def test_degenerate_class_participates(self):
         with pytest.warns(DegenerateClassWarning):
             model = train_from_counts(
-                [SpeciesCounts({0: 5}), SpeciesCounts({1: 2, 2: 2, 3: 1})]
+                [SpeciesCounts([0], [5]), SpeciesCounts([1, 2, 3], [2, 2, 1])]
             )
         result = classify_simultaneous(model, [0, 1, 9])
         assert result.labeling.shape == (3,)

@@ -116,6 +116,27 @@ class TestMle:
         assert parse_kv(stdout)["status"] == "degenerate_low"
         assert "degenerate" in stderr
 
+    def test_degenerate_warning_format(self, tmp_path, capsys):
+        path = tmp_path / "mono.tsv"
+        path.write_text("# pd-infer v1 unlabeled n=3\n5\n5\n5\n")
+        code, _, stderr = run(capsys, "mle", "--input", str(path))
+        assert code == EXIT_OK
+        assert stderr == (
+            f"pd-infer: warning: {path}: dispersal fit is degenerate_low; "
+            "psi_hat is the bracket boundary 1e-10\n"
+        )
+
+    def test_per_class_degenerate_warning(self, tmp_path, capsys):
+        path = tmp_path / "train.tsv"
+        path.write_text("# pd-infer v1 labeled n=5\n0\t5\n0\t5\n1\t1\n1\t2\n1\t1\n")
+        code, stdout, stderr = run(capsys, "mle", "--input", str(path), "--per-class")
+        assert code == EXIT_OK
+        assert stdout.count("status = ") == 2
+        assert stderr == (
+            "pd-infer: warning: class 0: dispersal fit is degenerate_low; "
+            "psi_hat is the bracket boundary 1e-10\n"
+        )
+
     def test_all_distinct_degenerate_high(self, tmp_path, capsys):
         path = tmp_path / "distinct.tsv"
         path.write_text("# pd-infer v1 unlabeled n=3\n0\n1\n2\n")
@@ -254,6 +275,24 @@ class TestClassify:
             ]
             labels[mode] = records[0].split("\t")[1]
         assert labels["marginal"] == labels["simultaneous"]
+
+    def test_degenerate_class_warning_format(self, tmp_path, capsys):
+        train = tmp_path / "train.tsv"
+        train.write_text("# pd-infer v1 labeled n=5\n0\t5\n0\t5\n1\t1\n1\t2\n1\t3\n")
+        test = tmp_path / "test.tsv"
+        test.write_text("# pd-infer v1 unlabeled n=2\n5\n2\n")
+        code, stdout, stderr = run(
+            capsys, "classify", "--mode", "simultaneous", "--train", str(train),
+            "--test", str(test), "--out", str(tmp_path / "out.tsv"),
+        )
+        assert code == EXIT_OK
+        assert "converged = true" in stdout
+        assert stderr == (
+            "pd-infer: warning: class 0: dispersal fit is degenerate_low; "
+            "psi_hat is the bracket boundary 1e-10\n"
+            "pd-infer: warning: class 1: dispersal fit is degenerate_high; "
+            "psi_hat is the bracket boundary 1e+10\n"
+        )
 
     def test_score_against_truth(self, files, tmp_path, capsys):
         train, test = files
@@ -411,6 +450,14 @@ class TestExperimentCommand:
         )
         assert code == EXIT_USAGE
         assert "memory" in stderr
+
+    def test_replicates_beyond_memory_cap_usage_error(self, tmp_path, capsys):
+        code, _, stderr = run(
+            capsys, "experiment", "--replicates", "1000000000", "--out", str(tmp_path / "exp"),
+        )
+        assert code == EXIT_USAGE
+        assert "memory" in stderr
+        assert not (tmp_path / "exp").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-4"])
     def test_workers_below_one_usage_error(self, tmp_path, capsys, workers):

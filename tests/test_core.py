@@ -24,6 +24,11 @@ from pdinfer.core import _DIRECT_LOG_SUM_LIMIT, _DIRECT_SUM_LIMIT, _log_rising_f
 from oracles import esf_prob_exact, integer_partitions
 
 
+def table(mapping: dict) -> SpeciesCounts:
+    ids = sorted(mapping)
+    return SpeciesCounts(ids, [mapping[i] for i in ids])
+
+
 def partition_from_dict(rho: dict) -> Partition:
     return Partition(
         n=sum(t * m for t, m in rho.items()),
@@ -33,30 +38,73 @@ def partition_from_dict(rho: dict) -> Partition:
 
 class TestSpeciesCounts:
     def test_totals(self):
-        counts = SpeciesCounts({0: 3, 5: 1, 2: 2})
+        counts = SpeciesCounts([0, 2, 5], [3, 2, 1])
         assert counts.n == 6
         assert counts.k_obs == 3
 
     def test_empty_allowed(self):
-        counts = SpeciesCounts({})
+        counts = SpeciesCounts([], [])
         assert counts.n == 0 and counts.k_obs == 0
 
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ValueError):
-            SpeciesCounts({0: 0})
+            SpeciesCounts([0], [0])
 
     def test_rejects_negative_id(self):
         with pytest.raises(ValueError):
-            SpeciesCounts({-1: 2})
+            SpeciesCounts([-1], [2])
+
+    @pytest.mark.parametrize("ids", [[1, 0], [0, 0], [-5, 0]])
+    def test_rejects_unsorted_duplicate_or_negative_ids(self, ids):
+        with pytest.raises(ValueError, match="non-negative and strictly ascending"):
+            SpeciesCounts(ids, [1, 1])
+
+    @pytest.mark.parametrize("ids, counts", [([0, 1], [1]), ([[0, 1]], [[1, 1]]), (0, 1)])
+    def test_rejects_mismatched_or_non_vector_shapes(self, ids, counts):
+        with pytest.raises(ValueError, match="1-d arrays of equal length"):
+            SpeciesCounts(ids, counts)
+
+    def test_arrays_read_only_and_copied(self):
+        ids, counts = np.array([2, 4]), np.array([1, 3])
+        frequencies = SpeciesCounts(ids, counts)
+        for array in (frequencies.ids, frequencies.counts):
+            assert array.dtype == np.int64
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
+        ids[0] = 3
+        assert frequencies.ids.tolist() == [2, 4] and ids.flags.writeable
+
+    def test_equality_compares_both_arrays(self):
+        assert SpeciesCounts([1, 2], [3, 4]) == SpeciesCounts(np.array([1, 2]), (3, 4))
+        assert SpeciesCounts([1, 2], [3, 4]) != SpeciesCounts([1, 2], [3, 5])
+        assert SpeciesCounts([1, 2], [3, 4]) != SpeciesCounts([1, 3], [3, 4])
+        assert SpeciesCounts([], []) != {}
+
+    @given(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=2**63 - 1)
+            | st.integers(min_value=2**63 - 4, max_value=2**63 - 1),
+            st.integers(min_value=1, max_value=10**6),
+            max_size=12,
+        ),
+        st.lists(
+            st.integers(min_value=-(2**63), max_value=2**63 - 1)
+            | st.integers(min_value=2**63 - 4, max_value=2**63 - 1),
+            max_size=12,
+        ),
+    )
+    def test_count_of_matches_dict_oracle(self, mapping, others):
+        counts = table(mapping)
+        queries = list(mapping) + others  # others: mostly absent ids
+        want = [mapping.get(species, 0) for species in queries]
+        assert counts.count_of(queries).tolist() == want
+        assert counts.count_of(np.array(queries, dtype=np.int64)).tolist() == want
+        assert [int(counts.count_of(species)) for species in queries] == want
 
     def test_from_values_matches_counter(self):
         values = [3, 1, 3, 3, 0]
-        assert SpeciesCounts.from_values(values) == SpeciesCounts(
-            {3: 3, 1: 1, 0: 1}
-        )
-        assert SpeciesCounts.from_values(np.array(values)) == SpeciesCounts(
-            {3: 3, 1: 1, 0: 1}
-        )
+        assert SpeciesCounts.from_values(values) == SpeciesCounts([0, 1, 3], [1, 1, 3])
+        assert SpeciesCounts.from_values(np.array(values)) == SpeciesCounts([0, 1, 3], [1, 1, 3])
 
     @pytest.mark.parametrize("as_array", [False, True])
     def test_from_values_large_id_small_memory(self, as_array):
@@ -67,8 +115,15 @@ class TestSpeciesCounts:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert counts == SpeciesCounts({0: 1, 10**10: 1})
+        assert counts == SpeciesCounts([0, 10**10], [1, 1])
         assert peak < 4 * 2**20
+
+    def test_count_of_rejects_id_beyond_int64(self):
+        # ids are int64 throughout; a larger one is a ValueError, not an OverflowError
+        with pytest.raises(ValueError, match="64-bit"):
+            SpeciesCounts([0], [1]).count_of([0, 2**63])
+        with pytest.raises(ValueError, match="64-bit"):
+            predictive_prob(SpeciesCounts([0], [1]), 1.0, 2**63)
 
     def test_from_values_rejects_id_beyond_int64(self):
         with pytest.raises(ValueError, match="64-bit"):
@@ -78,21 +133,21 @@ class TestSpeciesCounts:
 class TestPartition:
     def test_all_singletons(self):
         # {a:1, b:1, c:1} -> rho = (3,) with n = 3
-        counts = SpeciesCounts({0: 1, 1: 1, 2: 1})
+        counts = SpeciesCounts([0, 1, 2], [1, 1, 1])
         assert partition_of(counts) == Partition(n=3, rho=((1, 3),))
 
     def test_single_species(self):
         # {a:3} -> rho_3 = 1
-        assert partition_of(SpeciesCounts({7: 3})) == Partition(n=3, rho=((3, 1),))
+        assert partition_of(SpeciesCounts([7], [3])) == Partition(n=3, rho=((3, 1),))
 
     def test_mixed(self):
         # {a:2, b:2, c:1}: one species once, two species twice
-        counts = SpeciesCounts({0: 2, 1: 2, 2: 1})
+        counts = SpeciesCounts([0, 1, 2], [2, 2, 1])
         assert partition_of(counts) == Partition(n=5, rho=((1, 1), (2, 2)))
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty sample"):
-            partition_of(SpeciesCounts({}))
+            partition_of(SpeciesCounts([], []))
 
     def test_membership_condition_enforced(self):
         with pytest.raises(ValueError):
@@ -112,7 +167,7 @@ class TestPartition:
         )
     )
     def test_membership_invariant_holds(self, mapping):
-        p = partition_of(SpeciesCounts(mapping))
+        p = partition_of(table(mapping))
         assert sum(t * m for t, m in p.rho) == p.n == sum(mapping.values())
         assert 1 <= p.k_obs <= p.n
 
@@ -132,8 +187,8 @@ class TestPartition:
         shuffled = list(ids)
         rng.shuffle(shuffled)
         relabeled = {new: mapping[old] for new, old in zip(shuffled, ids)}
-        a = partition_of(SpeciesCounts(mapping))
-        b = partition_of(SpeciesCounts(relabeled))
+        a = partition_of(table(mapping))
+        b = partition_of(table(relabeled))
         assert a == b
         assert esf_log_pmf(a, 2.5) == esf_log_pmf(b, 2.5)
 
@@ -218,17 +273,35 @@ class TestSumPaths:
                 np.testing.assert_allclose(fisher_information(psi, n), direct, rtol=1e-9)
 
 
+    @pytest.mark.parametrize("psi", [1e-10, 1e8, 1e10])
+    def test_closed_forms_at_bracket_ends(self, psi):
+        # the closed forms at both ends of the psi bracket, where digamma and
+        # trigamma differences cancel (psi >> n) or two 1/psi^2 terms do
+        n = _DIRECT_SUM_LIMIT + 1
+
+        def fsum(term) -> float:
+            # correctly rounded sum of term(j) over 0 <= j < n, chunk by chunk
+            chunks = (np.arange(start, min(start + 100_000, n), dtype=np.float64)
+                      for start in range(0, n, 100_000))
+            return math.fsum(x for chunk in chunks for x in term(chunk).tolist())
+
+        expected = fsum(lambda j: psi / (psi + j))
+        information = fsum(lambda j: j / (psi * (psi + j) ** 2))
+        np.testing.assert_allclose(expected_distinct(psi, n), expected, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(fisher_information(psi, n), information, rtol=1e-11)
+
+
 class TestPredictiveProb:
     def test_first_draw_is_new(self):
-        assert predictive_prob(SpeciesCounts({}), 3.7, NEW) == 1.0
+        assert predictive_prob(SpeciesCounts([], []), 3.7, NEW) == 1.0
 
     def test_hand_values(self):
-        counts = SpeciesCounts({0: 3, 1: 1})
+        counts = SpeciesCounts([0, 1], [3, 1])
         assert predictive_prob(counts, 1.0, 0) == pytest.approx(0.6, abs=1e-15)
         assert predictive_prob(counts, 1.0, NEW) == pytest.approx(0.2, abs=1e-15)
 
     def test_absent_id_behaves_as_new(self):
-        counts = SpeciesCounts({0: 3, 1: 1})
+        counts = SpeciesCounts([0, 1], [3, 1])
         assert predictive_prob(counts, 1.0, 99) == predictive_prob(counts, 1.0, NEW)
 
     @given(
@@ -240,7 +313,7 @@ class TestPredictiveProb:
         st.floats(min_value=0.01, max_value=100.0),
     )
     def test_closure(self, mapping, psi):
-        counts = SpeciesCounts(mapping)
+        counts = table(mapping)
         total = predictive_prob(counts, psi, NEW) + sum(
             predictive_prob(counts, psi, species) for species in mapping
         )
@@ -249,7 +322,7 @@ class TestPredictiveProb:
     @settings(max_examples=30)
     @given(st.floats(min_value=0.01, max_value=50.0))
     def test_new_probability_increases_with_psi(self, psi):
-        counts = SpeciesCounts({0: 4, 1: 2})
+        counts = SpeciesCounts([0, 1], [4, 2])
         assert predictive_prob(counts, psi * 1.5, NEW) > predictive_prob(
             counts, psi, NEW
         )

@@ -39,6 +39,12 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="memory"):
             small_spec(tmp_path, memory_cap_bytes=10)
 
+    def test_memory_guard_counts_replicates(self, tmp_path):
+        # the seeds and metric rows of 10^9 replicates alone exceed the
+        # default 2 GiB cap; only the spec is built, so nothing is allocated
+        with pytest.raises(ValueError, match="memory"):
+            small_spec(tmp_path, replicates=10**9, memory_cap_bytes=2 * 2**30)
+
 
 class TestRunConvergenceExperiment:
     def test_rows_and_files(self, tmp_path):

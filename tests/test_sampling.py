@@ -8,6 +8,7 @@ import pytest
 
 from pdinfer import (
     GeneratedSequence,
+    SpeciesCounts,
     UrnConfig,
     derive_seeds,
     expected_distinct,
@@ -55,7 +56,8 @@ class TestSampleSequence:
 
     def test_counts_agree_with_values(self):
         seq = sample_sequence(UrnConfig(1.5, 300, 12))
-        assert seq.counts.counts == dict(Counter(seq.values.tolist()))
+        tally = Counter(seq.values.tolist())
+        assert seq.counts == SpeciesCounts(sorted(tally), [tally[v] for v in sorted(tally)])
 
     def test_distinct_count_near_expectation(self):
         # mean distinct species over replicates tracks the analytic value
