@@ -44,7 +44,6 @@ from .dataio import Dataset, DatasetFormatError, read_dataset, write_dataset
 from .classify import (
     ClassModel,
     ClassificationResult,
-    DegenerateClassWarning,
     TrainingModel,
     classify_marginal,
     classify_simultaneous,
@@ -64,7 +63,6 @@ __all__ = [
     "ClassificationResult",
     "Dataset",
     "DatasetFormatError",
-    "DegenerateClassWarning",
     "DegenerateSampleError",
     "ExperimentRow",
     "ExperimentSpec",

@@ -14,23 +14,27 @@ The joint score factorizes over (class, value) groups: every one of the
 ``q`` co-assigned test items holding the same value sees ``q - 1`` twins. A
 table of group terms, built once per call, therefore prices every move, and
 a full sweep is O(items x classes) table lookups.
+
+A training class whose dispersal fit lands on the bracket boundary (one
+distinct value, or all values distinct) is a normal outcome, not an error:
+the model records it in ``ClassModel.psi_hat`` (``status``, ``converged``)
+and no Python warning is raised. Test values must be non-negative integer
+species ids; floats and strings are refused, never truncated or parsed.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpeciesCounts, partition_of
+from .core import SpeciesCounts, _as_ids, partition_of
 from .estimation import PsiEstimate, fit_psi
 
 __all__ = [
     "ClassModel",
     "ClassificationResult",
-    "DegenerateClassWarning",
     "Labeling",
     "TrainingModel",
     "classify_marginal",
@@ -52,10 +56,6 @@ _IMPROVE_EPS = 1e-12
 # The greedy search stops here even if the last sweep still moved an item,
 # and then reports ``converged = False``.
 _MAX_SWEEPS = 100
-
-
-class DegenerateClassWarning(UserWarning):
-    """A training class has a boundary dispersal fit; predictions use the clamp."""
 
 
 @dataclass(frozen=True)
@@ -119,10 +119,10 @@ def counts_by_class(labels: np.ndarray, values: np.ndarray) -> list[SpeciesCount
 def train_from_counts(per_class_counts: Sequence[SpeciesCounts]) -> TrainingModel:
     """Fit one dispersal parameter per class from prepared frequency tables.
 
-    Degenerate classes (one distinct value, or all values distinct) keep
-    their flagged boundary estimate and trigger a
-    :class:`DegenerateClassWarning`; classification proceeds with the
-    clamped value.
+    A degenerate class (one distinct value, or all values distinct) is
+    data, not an error: it keeps its boundary estimate, flagged by
+    ``psi_hat.status`` and ``psi_hat.converged``, and classification uses
+    that clamped value.
     """
     if len(per_class_counts) < 2:
         raise ValueError(f"need at least 2 training classes, got {len(per_class_counts)}")
@@ -130,15 +130,7 @@ def train_from_counts(per_class_counts: Sequence[SpeciesCounts]) -> TrainingMode
     for class_id, value_counts in enumerate(per_class_counts):
         if value_counts.n == 0:
             raise ValueError(f"class {class_id} has no training items")
-        estimate = fit_psi(partition_of(value_counts))
-        if not estimate.converged:
-            warnings.warn(
-                f"class {class_id}: dispersal fit is {estimate.status}; "
-                f"predictions use boundary value {estimate.psi_hat:g}",
-                DegenerateClassWarning,
-                stacklevel=2,
-            )
-        classes.append(ClassModel(class_id, value_counts, estimate))
+        classes.append(ClassModel(class_id, value_counts, fit_psi(partition_of(value_counts))))
     return TrainingModel(classes=tuple(classes))
 
 
@@ -184,7 +176,7 @@ def marginal_log_score(model: TrainingModel, item_value: int, class_id: int) -> 
 
 
 def _as_test_values(test_values: Sequence[int] | np.ndarray) -> np.ndarray:
-    values = np.asarray(test_values, dtype=np.int64)
+    values = _as_ids(test_values)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("test values must be a non-empty 1-d sequence")
     return values

@@ -31,18 +31,11 @@ import argparse
 import math
 import shlex
 import sys
-import warnings
 from collections.abc import Callable
 from pathlib import Path
 
 from . import __version__
-from .classify import (
-    DegenerateClassWarning,
-    classify_marginal,
-    classify_simultaneous,
-    counts_by_class,
-    train_from_counts,
-)
+from .classify import classify_marginal, classify_simultaneous, counts_by_class, train_from_counts
 from .core import Partition, SpeciesCounts, _check_psi, partition_of
 from .dataio import (
     Dataset,
@@ -266,9 +259,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     per_class = _read_classes(args.train)
     if len(per_class) < 2:
         raise DatasetFormatError(f"{args.train}: need at least 2 training classes")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateClassWarning)
-        model = train_from_counts(per_class)
+    model = train_from_counts(per_class)
     for class_model in model.classes:
         _warn_degenerate(f"class {class_model.class_id}", class_model.psi_hat)
 

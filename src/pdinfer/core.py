@@ -48,11 +48,16 @@ __all__ = [
 _DIRECT_LOG_SUM_LIMIT = 100_000
 _DIRECT_SUM_LIMIT = 1_000_000
 
-# From this psi up, expected_distinct and fisher_information beyond the sum
-# limit use the asymptotic series of digamma and trigamma, with the leading
-# log as log1p(n / psi): scipy's digamma/trigamma differences cancel when
+# ids are stored as int64
+_ID_LIMIT = 2**63
+
+# From this psi up, the three sums beyond their limits use the asymptotic
+# series of log-gamma, digamma and trigamma, with the leading log as
+# log1p(n / psi): the log-gamma, digamma and trigamma differences cancel when
 # psi >> n (at n = 1e6 + 1 and psi = 1e10, the digamma form of E[K_n] is
-# 3.2e-5 off, against 9e-11 for the series). Against 50-digit values at n = 1e6 + 1, 3e6 and 1e8,
+# 3.2e-5 off, against 9e-11 for the series; at n = 1e5 + 1 and psi = 1e10,
+# the log-gamma form of the log rising factorial is 1.8e-5 off, against
+# 2e-11). Against 50-digit values at n = 1e6 + 1, 3e6 and 1e8,
 # the series is the worse form below psi = 50 (at psi = 10: 4e-10 against
 # 2e-15), both are at rounding level from 50 to 1e4, and the scipy forms drift
 # from there on (at 1e4: 1.9e-11 against 4e-12).
@@ -69,6 +74,32 @@ class _NewSpecies:
 #: Pass as the ``species`` argument of :func:`predictive_prob` to ask for the
 #: probability that the next observation is a previously unseen species.
 NEW = _NewSpecies()
+
+
+def _as_ids(values: Iterable[int] | np.ndarray) -> np.ndarray:
+    """Species ids as an int64 array; never truncates a float or parses a string.
+
+    Raises:
+        ValueError: on a non-integer or negative id, or one that does not
+            fit int64.
+    """
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    ids = np.asarray(values)
+    if ids.size == 0:
+        return ids.astype(np.int64)
+    if ids.dtype.kind not in "iu":
+        # numpy holds ints past int64, alone or mixed with smaller ones, as
+        # objects or floats
+        items = ids.flat if isinstance(values, np.ndarray) else values
+        if ids.dtype.kind in "fO" and all(isinstance(v, (int, np.integer)) for v in items):
+            raise ValueError("species ids must fit in a signed 64-bit integer")
+        raise ValueError(f"species ids must be integers, got {ids.dtype} values")
+    if ids.min() < 0:
+        raise ValueError("species ids must be non-negative")
+    if ids.dtype.kind == "u" and ids.max() >= _ID_LIMIT:
+        raise ValueError("species ids must fit in a signed 64-bit integer")
+    return ids.astype(np.int64, copy=False)
 
 
 def _check_psi(psi: float) -> float:
@@ -122,15 +153,10 @@ class SpeciesCounts:
         size of the ids.
 
         Raises:
-            ValueError: on a negative id, an id that does not fit int64, or
-                an array that is not 1-d.
+            ValueError: on a non-integer or negative id, an id that does not
+                fit int64, or an array that is not 1-d.
         """
-        if not isinstance(values, np.ndarray):
-            values = list(values)
-        try:
-            ids = np.asarray(values, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("species ids must fit in a signed 64-bit integer") from None
+        ids = _as_ids(values)
         if ids.ndim != 1:
             raise ValueError("expected a 1-d array of species ids")
         return cls(*np.unique(ids, return_counts=True))
@@ -227,7 +253,17 @@ def _log_rising_factorial(psi: float, n: int) -> float:
     """log of psi * (psi + 1) * ... * (psi + n - 1)."""
     if n <= _DIRECT_LOG_SUM_LIMIT:
         return float(np.log(psi + np.arange(n, dtype=np.float64)).sum())
+    if psi >= _SERIES_PSI:
+        return (
+            (psi - 0.5) * math.log1p(n / psi) + n * math.log(psi + n) - n
+            + _lgamma_tail(psi + n) - _lgamma_tail(psi)
+        )
     return math.lgamma(psi + n) - math.lgamma(psi)
+
+
+def _lgamma_tail(z: float) -> float:
+    """``lgamma(z) - (z - 1/2) log z + z - log(2 pi) / 2`` by its asymptotic series."""
+    return 1 / (12 * z) - 1 / (360 * z**3) + 1 / (1260 * z**5)
 
 
 def _digamma_tail(z: float) -> float:

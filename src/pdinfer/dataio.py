@@ -13,6 +13,9 @@ data or ``<species-id>`` for unlabeled data::
 Classification results use the same comment conventions: one
 ``<index>\\t<predicted-class>\\t<log-score-contribution>`` line per test item
 and a footer with the total log score, sweep count, and convergence flag.
+The experiment's tables are v1 files too. This module is their only writer:
+every file goes through one private function that writes the magic line, the
+metadata lines and then the body.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .core import _ID_LIMIT
 
 __all__ = [
     "Dataset",
@@ -37,9 +42,6 @@ __all__ = [
 FORMAT_VERSION = "pd-infer v1"
 KIND_LABELED = "labeled"
 KIND_UNLABELED = "unlabeled"
-
-# ids are stored as int64
-_ID_LIMIT = 2**63
 
 _MAGIC_RE = re.compile(r"^# pd-infer v1 (labeled|unlabeled) n=(\d+)\s*$")
 _META_RE = re.compile(r"^#\s*([A-Za-z0-9_.-]+)\s*=\s*(.*?)\s*$")
@@ -63,10 +65,17 @@ class Dataset:
         return int(self.values.size)
 
 
-def _metadata_lines(metadata: Mapping[str, object] | None) -> list[str]:
-    if not metadata:
-        return []
-    return [f"# {key} = {value}" for key, value in metadata.items()]
+def _write_v1(
+    path: str | Path,
+    title: str,
+    metadata: Mapping[str, object] | None,
+    body: Iterable[str],
+) -> None:
+    """Write a v1 text file: the magic line, ``# key = value`` metadata lines, then ``body``."""
+    lines = [f"# {FORMAT_VERSION} {title}"]
+    lines.extend(f"# {key} = {value}" for key, value in (metadata or {}).items())
+    lines.extend(body)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_dataset(
@@ -77,19 +86,14 @@ def write_dataset(
 ) -> None:
     """Write a dataset file; labeled when ``labels`` is given."""
     values = np.asarray(values, dtype=np.int64)
-    kind = KIND_UNLABELED
-    if labels is not None:
+    if labels is None:
+        kind, body = KIND_UNLABELED, (f"{int(v)}" for v in values)
+    else:
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != values.shape:
             raise ValueError("labels and values must have the same length")
-        kind = KIND_LABELED
-    lines = [f"# {FORMAT_VERSION} {kind} n={values.size}"]
-    lines.extend(_metadata_lines(metadata))
-    if labels is not None:
-        lines.extend(f"{int(c)}\t{int(v)}" for c, v in zip(labels, values))
-    else:
-        lines.extend(f"{int(v)}" for v in values)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        kind, body = KIND_LABELED, (f"{int(c)}\t{int(v)}" for c, v in zip(labels, values))
+    _write_v1(path, f"{kind} n={values.size}", metadata, body)
 
 
 def _parse_record(
@@ -179,13 +183,11 @@ def write_classification(
 ) -> None:
     """Write a classification result file (see the module docstring)."""
     labeling = np.asarray(labeling)
-    lines = [f"# {FORMAT_VERSION} classification n={labeling.size}"]
-    lines.extend(_metadata_lines(metadata))
-    lines.extend(
+    body = [
         f"{i}\t{int(label)}\t{contribution:.17g}"
         for i, (label, contribution) in enumerate(zip(labeling, per_item_log))
-    )
-    lines.append(f"# total_log_score = {log_score:.17g}")
-    lines.append(f"# sweeps = {int(sweeps)}")
-    lines.append(f"# converged = {str(bool(converged)).lower()}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ]
+    body.append(f"# total_log_score = {log_score:.17g}")
+    body.append(f"# sweeps = {int(sweeps)}")
+    body.append(f"# converged = {str(bool(converged)).lower()}")
+    _write_v1(path, f"classification n={labeling.size}", metadata, body)

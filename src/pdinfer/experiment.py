@@ -5,14 +5,17 @@ set from the same dispersal parameters, then classifies the test set with
 both classifiers at every requested training size, reusing nested prefixes
 of the pools (growing the training data extends it rather than redrawing,
 which keeps the convergence curve smooth). Results are averaged over
-replicates and written as tab-separated tables plus one plot-ready series
-file per curve.
+replicates and written, in the v1 text format of :mod:`pdinfer.dataio`, as
+tab-separated tables plus one plot-ready series file per curve. A class whose
+dispersal fit lands on the bracket boundary (the degenerate case, e.g. a
+training prefix of values all seen once) is part of the study: it trains and
+classifies with the clamped value like any other class.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,13 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classify import (
-    DegenerateClassWarning,
-    classify_marginal,
-    classify_simultaneous,
-    train_from_counts,
-)
+from .classify import classify_marginal, classify_simultaneous, train_from_counts
 from .core import SpeciesCounts, _check_psi
+from .dataio import _write_v1
 from .sampling import UrnConfig, _check_seed, derive_seeds, sample_sequence
 
 __all__ = [
@@ -106,7 +105,7 @@ class ExperimentSpec:
         stored = 8 * self.k * (pool_per_class + test_per_class)
         # generation temporaries: a handful of length-n arrays at once
         transient = 48 * max(pool_per_class, test_per_class)
-        # kept for the whole run, per replicate: its job and pending result
+        # kept for the whole run, per replicate: its seed block and pending result
         # (measured at 0.6 KB serially, 2 KB on the process pool), 2k derived
         # seeds and one metrics row per training size (measured at about 22
         # and 233 bytes; 64 and 512 bound them)
@@ -128,36 +127,32 @@ class ExperimentRow:
 
 
 def _replicate_metrics(
-    psis: tuple[float, ...],
-    training_sizes: tuple[int, ...],
-    test_size: int,
-    train_seeds: tuple[int, ...],
-    test_seeds: tuple[int, ...],
+    spec: ExperimentSpec, seeds: tuple[int, ...]
 ) -> list[tuple[float, float, float]]:
-    """Metrics (err_marginal, err_simultaneous, disagreement) per training size."""
-    k = len(psis)
-    pool_per_class = max(training_sizes) // k
-    test_per_class = test_size // k
+    """Metrics (err_marginal, err_simultaneous, disagreement) per training size.
+
+    ``seeds`` is the replicate's block of ``2k`` derived seeds: the class
+    training pools' seeds, then the class test sets'.
+    """
+    k = spec.k
+    pool_per_class = max(spec.training_sizes) // k
+    test_per_class = spec.test_size // k
     pools = [
         sample_sequence(UrnConfig(psi, pool_per_class, seed)).values
-        for psi, seed in zip(psis, train_seeds)
+        for psi, seed in zip(spec.psis, seeds[:k])
     ]
     test_values = np.concatenate(
         [
             sample_sequence(UrnConfig(psi, test_per_class, seed)).values
-            for psi, seed in zip(psis, test_seeds)
+            for psi, seed in zip(spec.psis, seeds[k:])
         ]
     )
     truth = np.repeat(np.arange(k), test_per_class)
 
     metrics = []
-    for m in training_sizes:
+    for m in spec.training_sizes:
         per_class = m // k
-        counts = [SpeciesCounts.from_values(pool[:per_class]) for pool in pools]
-        with warnings.catch_warnings():
-            # degenerate classes are part of the experiment, not user error
-            warnings.simplefilter("ignore", DegenerateClassWarning)
-            model = train_from_counts(counts)
+        model = train_from_counts([SpeciesCounts.from_values(pool[:per_class]) for pool in pools])
         marginal = classify_marginal(model, test_values)
         simultaneous = classify_simultaneous(model, test_values)
         metrics.append(
@@ -176,20 +171,19 @@ def _worker_count(spec: ExperimentSpec) -> int:
     return os.cpu_count() or 1
 
 
-def _header_lines(spec: ExperimentSpec, title: str, columns: str) -> list[str]:
-    return [
-        f"# pd-infer v1 {title}",
-        f"# tool_version = {__version__}",
-        f"# psis = {','.join(f'{p:g}' for p in spec.psis)}",
-        f"# training_sizes = {','.join(str(m) for m in spec.training_sizes)}",
-        f"# test_size = {spec.test_size}",
-        f"# replicates = {spec.replicates}",
-        f"# master_seed = {spec.master_seed}",
-        "# seed_derivation = derive_seeds(master_seed, replicates*2*k); "
+def _metadata(spec: ExperimentSpec) -> dict[str, object]:
+    """Header metadata shared by every output file of a study."""
+    return {
+        "tool_version": __version__,
+        "psis": ",".join(f"{p:g}" for p in spec.psis),
+        "training_sizes": ",".join(str(m) for m in spec.training_sizes),
+        "test_size": spec.test_size,
+        "replicates": spec.replicates,
+        "master_seed": spec.master_seed,
+        "seed_derivation": "derive_seeds(master_seed, replicates*2*k); "
         "replicate r, class c: training pool seed [r*2k + c], test seed [r*2k + k + c]",
-        "# per_class_training_size = m // k; per_class_test_size = test_size // k",
-        f"# columns: {columns}",
-    ]
+        "per_class_training_size": "m // k; per_class_test_size = test_size // k",
+    }
 
 
 def run_convergence_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
@@ -198,27 +192,17 @@ def run_convergence_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
     Deterministic given ``master_seed``, regardless of the parallelism
     degree.
     """
-    k = spec.k
-    seeds = derive_seeds(spec.master_seed, spec.replicates * 2 * k)
-    jobs = []
-    for r in range(spec.replicates):
-        base = r * 2 * k
-        jobs.append(
-            (
-                spec.psis,
-                spec.training_sizes,
-                spec.test_size,
-                seeds[base : base + k],
-                seeds[base + k : base + 2 * k],
-            )
-        )
+    block = 2 * spec.k
+    seeds = derive_seeds(spec.master_seed, spec.replicates * block)
+    seed_blocks = [seeds[r * block : (r + 1) * block] for r in range(spec.replicates)]
+    replicate = functools.partial(_replicate_metrics, spec)
 
     workers = min(_worker_count(spec), spec.replicates)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_replicate = list(pool.map(_replicate_metrics, *zip(*jobs)))
+            per_replicate = list(pool.map(replicate, seed_blocks))
     else:
-        per_replicate = [_replicate_metrics(*job) for job in jobs]
+        per_replicate = list(map(replicate, seed_blocks))
 
     # per_replicate[r][j] = (err_m, err_s, dis) at training_sizes[j]
     stacked = np.array(per_replicate)  # (replicates, sizes, 3)
@@ -249,31 +233,26 @@ def _write_outputs(
 ) -> None:
     out = spec.output_path
     out.mkdir(parents=True, exist_ok=True)
+    metadata = _metadata(spec)
 
-    summary = _header_lines(
-        spec,
-        "experiment-summary",
-        "m\terr_marginal_mean\terr_marginal_sd\terr_simultaneous_mean"
-        "\terr_simultaneous_sd\tdisagreement_mean\tdisagreement_sd",
-    )
+    summary = [
+        "# columns: m\terr_marginal_mean\terr_marginal_sd\terr_simultaneous_mean"
+        "\terr_simultaneous_sd\tdisagreement_mean\tdisagreement_sd"
+    ]
     summary.extend(
         f"{row.m}\t{row.err_marginal:.6f}\t{row.sd_err_marginal:.6f}"
         f"\t{row.err_simultaneous:.6f}\t{row.sd_err_simultaneous:.6f}"
         f"\t{row.disagreement:.6f}\t{row.sd_disagreement:.6f}"
         for row in rows
     )
-    (out / _SUMMARY_FILE).write_text("\n".join(summary) + "\n", encoding="utf-8")
+    _write_v1(out / _SUMMARY_FILE, "experiment-summary", metadata, summary)
 
-    raw = _header_lines(
-        spec,
-        "experiment-replicates",
-        "replicate\tm\terr_marginal\terr_simultaneous\tdisagreement",
-    )
+    raw = ["# columns: replicate\tm\terr_marginal\terr_simultaneous\tdisagreement"]
     for r in range(stacked.shape[0]):
         for j, m in enumerate(spec.training_sizes):
             err_m, err_s, dis = stacked[r, j]
             raw.append(f"{r}\t{m}\t{err_m:.17g}\t{err_s:.17g}\t{dis:.17g}")
-    (out / _REPLICATES_FILE).write_text("\n".join(raw) + "\n", encoding="utf-8")
+    _write_v1(out / _REPLICATES_FILE, "experiment-replicates", metadata, raw)
 
     curves = {
         "err_marginal": [row.err_marginal for row in rows],
@@ -281,8 +260,8 @@ def _write_outputs(
         "disagreement": [row.disagreement for row in rows],
     }
     for name, series in curves.items():
-        lines = _header_lines(spec, f"series {name}", "m\tvalue")
+        lines = ["# columns: m\tvalue"]
         lines.extend(
             f"{m}\t{value:.17g}" for m, value in zip(spec.training_sizes, series)
         )
-        (out / _SERIES_FILES[name]).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_v1(out / _SERIES_FILES[name], f"series {name}", metadata, lines)

@@ -62,7 +62,9 @@ class GeneratedSequence:
     """One generated sequence plus its frequency table and the seed used.
 
     ``values[i]`` is the species id of observation ``i``; ids form the
-    contiguous range ``0 .. k_obs - 1`` in order of first appearance.
+    contiguous range ``0 .. k_obs - 1`` in order of first appearance, so
+    they are counted directly as indices (``ValueError`` on an id not below
+    the sequence length or a gap in the range).
     """
 
     values: np.ndarray
@@ -70,7 +72,10 @@ class GeneratedSequence:
     seed_used: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", SpeciesCounts.from_values(self.values))
+        if self.values.size and self.values.max() >= self.values.size:
+            raise ValueError("species ids must be the contiguous range 0 .. k_obs - 1")
+        counts = np.bincount(self.values)
+        object.__setattr__(self, "counts", SpeciesCounts(np.arange(counts.size), counts))
 
 
 def derive_seeds(master_seed: int, count: int) -> tuple[int, ...]:

@@ -7,7 +7,6 @@ test's docstring. Total runtime is well under two minutes.
 """
 
 import math
-import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -15,7 +14,6 @@ import numpy as np
 import pytest
 
 from pdinfer import (
-    DegenerateClassWarning,
     ExperimentSpec,
     Partition,
     UrnConfig,
@@ -242,24 +240,22 @@ def test_single_item_reduction():
     cases = 0
     mismatches = 0
     model_seeds = derive_seeds(MASTER_SEED + 5, 50)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateClassWarning)
-        for model_seed in model_seeds:
-            class_seeds = derive_seeds(model_seed, 3)
-            psis = (0.5, 5.0, 40.0)
-            counts = [
-                sample_sequence(UrnConfig(psi, 60, seed)).counts
-                for psi, seed in zip(psis, class_seeds)
-            ]
-            model = train_from_counts(counts)
-            rng = np.random.default_rng(model_seed)
-            for value in rng.integers(0, 80, size=20):
-                marginal = classify_marginal(model, [int(value)])
-                joint = classify_simultaneous(model, [int(value)])
-                cases += 1
-                mismatches += int(
-                    marginal.labeling[0] != joint.labeling[0]
-                )
+    for model_seed in model_seeds:
+        class_seeds = derive_seeds(model_seed, 3)
+        psis = (0.5, 5.0, 40.0)
+        counts = [
+            sample_sequence(UrnConfig(psi, 60, seed)).counts
+            for psi, seed in zip(psis, class_seeds)
+        ]
+        model = train_from_counts(counts)
+        rng = np.random.default_rng(model_seed)
+        for value in rng.integers(0, 80, size=20):
+            marginal = classify_marginal(model, [int(value)])
+            joint = classify_simultaneous(model, [int(value)])
+            cases += 1
+            mismatches += int(
+                marginal.labeling[0] != joint.labeling[0]
+            )
     ok = cases == 1000 and mismatches == 0
     _report(
         "single-item-reduction", ok, f"{cases} cases, {mismatches} label mismatches"

@@ -1,14 +1,12 @@
 """Tests for the marginal and simultaneous predictive classifiers."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 import pdinfer.classify as classify_module
 from pdinfer import (
-    DegenerateClassWarning,
     SpeciesCounts,
     UrnConfig,
     classify_marginal,
@@ -26,17 +24,11 @@ from pdinfer import (
 SQRT2 = math.sqrt(2.0)
 
 
-def quiet_model(per_class_counts):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateClassWarning)
-        return train_from_counts(per_class_counts)
-
-
 @pytest.fixture
 def hand_model():
     # two small classes with interior (converged) fits:
     # class 0: {0:2, 1:1} -> psi_hat = sqrt(2); class 1: {0:1, 1:1, 2:3}
-    return quiet_model(
+    return train_from_counts(
         [SpeciesCounts([0, 1], [2, 1]), SpeciesCounts([0, 1, 2], [1, 1, 3])]
     )
 
@@ -47,12 +39,13 @@ class TestTrain:
         assert fit.converged
         np.testing.assert_allclose(fit.psi_hat, SQRT2, atol=1e-6)
 
-    def test_degenerate_classes_warn_but_train(self):
-        with pytest.warns(DegenerateClassWarning):
-            model = train([0, 0, 1, 1], [1, 1, 4, 4])
+    def test_degenerate_classes_flagged_and_trained(self):
+        # a boundary fit is data on the model; the suite turns any warning into an error
+        model = train([0, 0, 1, 1], [1, 1, 4, 4])
         assert model.k == 2
-        assert model.classes[0].psi_hat.status == "degenerate_low"
-        assert model.classes[1].psi_hat.status == "degenerate_low"
+        for class_model in model.classes:
+            assert class_model.psi_hat.status == "degenerate_low"
+            assert not class_model.psi_hat.converged
 
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
@@ -76,14 +69,14 @@ class TestMarginalLogScore:
     def test_seen_value(self):
         # class counts {a:3, b:1}, psi-hat forced to 1 via a degenerate
         # partner is messy; check against predictive arithmetic instead
-        model = quiet_model([SpeciesCounts([0, 1], [3, 1]), SpeciesCounts([0], [4])])
+        model = train_from_counts([SpeciesCounts([0, 1], [3, 1]), SpeciesCounts([0], [4])])
         psi0 = model.classes[0].psi_hat.psi_hat
         np.testing.assert_allclose(
             marginal_log_score(model, 0, 0), math.log(3.0 / (4.0 + psi0)), rtol=1e-14
         )
 
     def test_unseen_value(self):
-        model = quiet_model([SpeciesCounts([0, 1], [3, 1]), SpeciesCounts([0], [4])])
+        model = train_from_counts([SpeciesCounts([0, 1], [3, 1]), SpeciesCounts([0], [4])])
         psi0 = model.classes[0].psi_hat.psi_hat
         np.testing.assert_allclose(
             marginal_log_score(model, 9, 0), math.log(psi0 / (4.0 + psi0)), rtol=1e-14
@@ -131,7 +124,7 @@ class TestClassifyMarginal:
         assert np.array_equal(direct[permutation], permuted)
 
     def test_tie_breaks_to_lowest_class(self):
-        model = quiet_model([SpeciesCounts([0], [2]), SpeciesCounts([1], [2])])
+        model = train_from_counts([SpeciesCounts([0], [2]), SpeciesCounts([1], [2])])
         # value 5 unseen in both classes; identical sizes and fits -> tie
         result = classify_marginal(model, [5])
         assert result.labeling.tolist() == [0]
@@ -139,6 +132,22 @@ class TestClassifyMarginal:
     def test_empty_test_rejected(self, hand_model):
         with pytest.raises(ValueError):
             classify_marginal(hand_model, [])
+
+    @pytest.mark.parametrize("classifier", [classify_marginal, classify_simultaneous])
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([1.7], "integers"),
+            ([-3, 2.9], "integers"),
+            (["1"], "integers"),
+            ([-3, 2], "non-negative"),
+            ([0, 2**63], "64-bit"),
+        ],
+    )
+    def test_rejects_non_integer_and_negative_values(self, hand_model, classifier, values, message):
+        # a value is never truncated to a neighbouring id
+        with pytest.raises(ValueError, match=message):
+            classifier(hand_model, values)
 
 
 class TestSimultaneousLogScore:
@@ -157,7 +166,7 @@ class TestSimultaneousLogScore:
     def test_seen_value_with_twins(self):
         # training counts {a:3, b:1}: two co-assigned twins give
         # (3+2) / (4+2+psi)
-        model = quiet_model([SpeciesCounts([0, 1], [3, 1]), SpeciesCounts([0], [4])])
+        model = train_from_counts([SpeciesCounts([0, 1], [3, 1]), SpeciesCounts([0], [4])])
         psi0 = model.classes[0].psi_hat.psi_hat
         values = np.array([0, 0, 0])
         labeling = np.array([0, 0, 0])
@@ -168,7 +177,7 @@ class TestSimultaneousLogScore:
         )
 
     def test_unseen_value_with_twin(self):
-        model = quiet_model([SpeciesCounts([0, 1], [3, 1]), SpeciesCounts([0], [4])])
+        model = train_from_counts([SpeciesCounts([0, 1], [3, 1]), SpeciesCounts([0], [4])])
         psi0 = model.classes[0].psi_hat.psi_hat
         values = np.array([9, 9])
         labeling = np.array([0, 0])
@@ -243,15 +252,14 @@ class TestClassifySimultaneous:
             SpeciesCounts([0, 2, 4, 5], [1, 4, 2, 1]),
         ]
         values = [0, 2, 3, 4, 0, 2, 7]
-        forward = classify_simultaneous(quiet_model(counts), values)
-        swapped = classify_simultaneous(quiet_model(counts[::-1]), values)
+        forward = classify_simultaneous(train_from_counts(counts), values)
+        swapped = classify_simultaneous(train_from_counts(counts[::-1]), values)
         assert np.array_equal(1 - forward.labeling, swapped.labeling)
 
     def test_degenerate_class_participates(self):
-        with pytest.warns(DegenerateClassWarning):
-            model = train_from_counts(
-                [SpeciesCounts([0], [5]), SpeciesCounts([1, 2, 3], [2, 2, 1])]
-            )
+        model = train_from_counts(
+            [SpeciesCounts([0], [5]), SpeciesCounts([1, 2, 3], [2, 2, 1])]
+        )
         result = classify_simultaneous(model, [0, 1, 9])
         assert result.labeling.shape == (3,)
         assert result.labeling[0] == 0  # seen only in the degenerate class

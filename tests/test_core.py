@@ -128,6 +128,30 @@ class TestSpeciesCounts:
     def test_from_values_rejects_id_beyond_int64(self):
         with pytest.raises(ValueError, match="64-bit"):
             SpeciesCounts.from_values([0, 2**64])
+        with pytest.raises(ValueError, match="64-bit"):
+            SpeciesCounts.from_values(np.array([2**63], dtype=np.uint64))
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([1.5, 2.7, 2.2], "integers"),
+            (np.array([1.0, 2.0]), "integers"),
+            (["3", "4"], "integers"),
+            ([True, False], "integers"),
+            ([2**64, 1.5], "integers"),
+            ([-1, 2], "non-negative"),
+            (np.array([3, -3], dtype=np.int8), "non-negative"),
+        ],
+    )
+    def test_from_values_rejects_non_integer_and_negative_ids(self, values, message):
+        # ids are never truncated, parsed or wrapped
+        with pytest.raises(ValueError, match=message):
+            SpeciesCounts.from_values(values)
+
+    def test_from_values_accepts_any_integer_dtype(self):
+        for dtype in (np.int8, np.uint32, np.uint64):
+            counts = SpeciesCounts.from_values(np.array([3, 1, 3], dtype=dtype))
+            assert counts == SpeciesCounts([1, 3], [1, 2])
 
 
 class TestPartition:
@@ -272,6 +296,13 @@ class TestSumPaths:
                 direct = (i / (psi * (psi + i) ** 2)).sum()
                 np.testing.assert_allclose(fisher_information(psi, n), direct, rtol=1e-9)
 
+
+    @pytest.mark.parametrize("psi", [1e8, 1e10])
+    def test_log_rising_factorial_at_large_psi(self, psi):
+        # the log-gamma difference cancels here (1.8e-5 off at psi = 1e10)
+        n = _DIRECT_LOG_SUM_LIMIT + 1
+        exact = math.fsum(np.log(psi + np.arange(n, dtype=np.float64)).tolist())
+        np.testing.assert_allclose(_log_rising_factorial(psi, n), exact, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("psi", [1e-10, 1e8, 1e10])
     def test_closed_forms_at_bracket_ends(self, psi):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pdinfer import ExperimentSpec, run_convergence_experiment
+from pdinfer import ExperimentSpec, __version__, run_convergence_experiment
 
 
 def small_spec(tmp_path, **overrides):
@@ -66,10 +66,33 @@ class TestRunConvergenceExperiment:
         ):
             assert (out / name).exists()
 
-        header = (out / "summary.tsv").read_text()
-        assert "# master_seed = 77" in header
-        assert "# tool_version = " in header
-        assert "# seed_derivation" in header
+    def test_headers_byte_for_byte(self, tmp_path):
+        spec = small_spec(tmp_path)
+        run_convergence_experiment(spec)
+        shared = (
+            f"# tool_version = {__version__}\n"
+            "# psis = 1,20\n"
+            "# training_sizes = 60,240\n"
+            "# test_size = 120\n"
+            "# replicates = 3\n"
+            "# master_seed = 77\n"
+            "# seed_derivation = derive_seeds(master_seed, replicates*2*k); replicate r, "
+            "class c: training pool seed [r*2k + c], test seed [r*2k + k + c]\n"
+            "# per_class_training_size = m // k; per_class_test_size = test_size // k\n"
+        )
+        expected = {
+            "summary.tsv": "# pd-infer v1 experiment-summary\n" + shared
+            + "# columns: m\terr_marginal_mean\terr_marginal_sd\terr_simultaneous_mean"
+            "\terr_simultaneous_sd\tdisagreement_mean\tdisagreement_sd\n",
+            "replicates.tsv": "# pd-infer v1 experiment-replicates\n" + shared
+            + "# columns: replicate\tm\terr_marginal\terr_simultaneous\tdisagreement\n",
+            "series_disagreement.tsv": "# pd-infer v1 series disagreement\n" + shared
+            + "# columns: m\tvalue\n",
+        }
+        for name, header in expected.items():
+            text = (spec.output_path / name).read_bytes().decode("utf-8")
+            assert text.startswith(header)
+            assert "#" not in text[len(header):]
 
     def test_deterministic_outputs(self, tmp_path):
         first = run_convergence_experiment(

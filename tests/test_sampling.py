@@ -59,6 +59,12 @@ class TestSampleSequence:
         tally = Counter(seq.values.tolist())
         assert seq.counts == SpeciesCounts(sorted(tally), [tally[v] for v in sorted(tally)])
 
+    @pytest.mark.parametrize("values", [[0, 5], [1], [0, 2, 2], [2**40]])
+    def test_counts_reject_non_contiguous_ids(self, values):
+        # ids are counted as indices; one past the length is refused before any allocation
+        with pytest.raises(ValueError):
+            GeneratedSequence(np.array(values), seed_used=0)
+
     def test_distinct_count_near_expectation(self):
         # mean distinct species over replicates tracks the analytic value
         expected = expected_distinct(10.0, 10**4)
