@@ -167,9 +167,15 @@ class SpeciesCounts:
         return self.ids.size
 
     def count_of(self, species: int | Iterable[int] | np.ndarray) -> np.ndarray:
-        """Counts of the given species ids (0 for an absent id), shaped like ``species``."""
+        """Counts of the given integer ids (0 for an absent id), shaped like ``species``."""
+        # numpy reads a list holding an int past int64 as floats: check the objects
+        ids = species if isinstance(species, np.ndarray) else np.asarray(species, dtype=object)
+        if ids.dtype.kind not in "iu" and not all(
+            isinstance(v, int | np.integer) for v in ids.flat
+        ):
+            raise ValueError("species ids must be integers")
         try:
-            species = np.asarray(species, dtype=np.int64)
+            species = ids.astype(np.int64, copy=False)
         except OverflowError:
             raise ValueError("species ids must fit in a signed 64-bit integer") from None
         if self.ids.size == 0:
@@ -296,6 +302,17 @@ def expected_distinct(psi: float, n: int) -> float:
     if psi >= _SERIES_PSI:
         return psi * _digamma_gap(psi, n)
     return float(psi * (digamma(psi + n) - digamma(psi)))
+
+
+def _distinct_and_slope(psi: float, n: int) -> tuple[float, float]:
+    """Bit-identical :func:`expected_distinct` and its log-psi slope, psi^2 fisher_information."""
+    if n <= _DIRECT_SUM_LIMIT:
+        j = np.arange(n, dtype=np.float64)
+        share = psi / (psi + j)
+        slope = share * share  # psi j / (psi + j)^2 = share^2 j / psi
+        slope *= j
+        return float(share.sum()), float(slope.sum()) / psi
+    return expected_distinct(psi, n), psi * psi * fisher_information(psi, n)
 
 
 def fisher_information(psi0: float, n: int) -> float:

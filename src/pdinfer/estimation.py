@@ -5,41 +5,44 @@ The MLE solves "expected number of distinct species = observed number":
     sum_{j=1..n} psi / (psi + j - 1)  =  k_obs
 
 The left side is strictly increasing in ``psi`` and ranges over ``(1, n)``,
-so a plain bisection over a wide fixed bracket finds the root whenever
-``1 < k_obs < n``. The boundary cases (a single species, or all species
-distinct) have no interior root; they are reported as flagged boundary
-estimates rather than errors so that downstream consumers such as the
-classifiers can keep operating on degenerate training classes. The sum
-itself, :func:`expected_distinct`, lives in :mod:`pdinfer.core`.
+so a root exists whenever ``1 < k_obs < n``. It is found by Newton's method
+in ``log psi``, safeguarded by a bisection step whenever a Newton step would
+leave a bracket that shrinks around the root. The boundary cases (a single
+species, or all species distinct) have no interior root; they are reported
+as flagged boundary estimates rather than errors so that downstream
+consumers such as the classifiers can keep operating on degenerate training
+classes. The sum and its slope live in :mod:`pdinfer.core`.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .core import Partition, expected_distinct
+from .core import Partition, _distinct_and_slope
 
 __all__ = [
     "MAX_ITERATIONS",
     "PSI_MAX",
     "PSI_MIN",
-    "PSI_TOL",
     "RESIDUAL_TOL",
     "STATUS_CONVERGED",
     "STATUS_DEGENERATE_HIGH",
     "STATUS_DEGENERATE_LOW",
+    "STEP_TOL",
     "PsiEstimate",
     "fit_psi",
     "fit_psi_pooled",
 ]
 
-# Fixed search bracket and stopping rules for the bisection. The bracket
-# spans 20 decades, which bisection exhausts in ~67 halvings, well under the
-# iteration cap.
+# Search bracket and stopping rules. The fit stops after a step in log psi of
+# at most STEP_TOL that predicts a gap within RESIDUAL_TOL per sample. Each
+# decision reads only the sign of the gap, gap / slope, gap * step per sample
+# and the per-sample means, which doubling the sample list leaves exactly.
 PSI_MIN = 1e-10
 PSI_MAX = 1e10
-PSI_TOL = 1e-10
+STEP_TOL = 1e-6
 RESIDUAL_TOL = 1e-8
 MAX_ITERATIONS = 200
 
@@ -71,32 +74,37 @@ class PsiEstimate:
         return self.status == STATUS_CONVERGED
 
 
-def _expected_total(psi: float, sizes: Sequence[int]) -> float:
-    return sum(expected_distinct(psi, n) for n in sizes)
+def _gap_and_slope(psi: float, k_total: int, sizes: Sequence[int]) -> tuple[float, float]:
+    """``sum_s expected_distinct(psi, n_s) - k_total`` and its slope in ``log psi``."""
+    pairs = [_distinct_and_slope(psi, n) for n in sizes]
+    return sum(e for e, _ in pairs) - k_total, sum(d for _, d in pairs)
 
 
-def _bisect(k_total: int, sizes: Sequence[int]) -> tuple[float, int, float]:
-    """Bisection for ``sum_s expected_distinct(psi, n_s) = k_total``.
+def _newton(k_total: int, sizes: Sequence[int]) -> tuple[float, int, float]:
+    """Safeguarded Newton in ``log psi`` for ``sum_s expected_distinct(psi, n_s) = k_total``.
 
-    Assumes the caller has already ruled out the boundary cases, so the
-    root lies strictly inside ``(PSI_MIN, PSI_MAX)``.
+    Starts from the larger of two guesses at the per-sample means ``k``, ``n``:
+    ``(k - 1) / log1p(n / k)`` and the root's limit as ``k`` nears ``n``. The
+    caller has ruled out the boundary cases, which have no root.
     """
-    lo, hi = PSI_MIN, PSI_MAX
-    iterations = 0
-    while iterations < MAX_ITERATIONS:
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        gap = _expected_total(mid, sizes) - k_total
-        if abs(gap) <= RESIDUAL_TOL:
-            return mid, iterations, abs(gap)
-        if gap < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= PSI_TOL:
+    k, n = k_total / len(sizes), sum(sizes) / len(sizes)
+    lo, hi = math.log(PSI_MIN), math.log(PSI_MAX)
+    guess = max((k - 1.0) / math.log1p(n / k), k * (k - 1.0) / (2.0 * (n - k)))
+    u = min(max(math.log(guess), lo), hi)
+    last = False
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        psi = math.exp(u)
+        gap, slope = _gap_and_slope(psi, k_total, sizes)
+        if gap == 0.0 or last:
             break
-    mid = 0.5 * (lo + hi)
-    return mid, iterations, abs(_expected_total(mid, sizes) - k_total)
+        lo, hi = (u, hi) if gap < 0.0 else (lo, u)
+        step = gap / slope
+        if not lo < u - step < hi:
+            step = u - 0.5 * (lo + hi)
+        # after a Newton step the next gap is at most |gap * step| / 2, to second order
+        last = abs(step) <= STEP_TOL and abs(gap * step) <= len(sizes) * RESIDUAL_TOL
+        u -= step
+    return psi, iterations, abs(gap)
 
 
 def fit_psi_pooled(samples: Sequence[Partition]) -> PsiEstimate:
@@ -117,16 +125,16 @@ def fit_psi_pooled(samples: Sequence[Partition]) -> PsiEstimate:
         # every sample consists of a single species: likelihood maximized
         # as psi -> 0
         psi = PSI_MIN
-        residual = abs(_expected_total(psi, sizes) - k_total)
+        residual = abs(_gap_and_slope(psi, k_total, sizes)[0])
         return PsiEstimate(psi, k_total, n_total, 0, residual, STATUS_DEGENERATE_LOW)
     if k_total >= n_total:
         # all observations distinct everywhere: likelihood increases without
         # bound as psi -> infinity
         psi = PSI_MAX
-        residual = abs(_expected_total(psi, sizes) - k_total)
+        residual = abs(_gap_and_slope(psi, k_total, sizes)[0])
         return PsiEstimate(psi, k_total, n_total, 0, residual, STATUS_DEGENERATE_HIGH)
 
-    psi, iterations, residual = _bisect(k_total, sizes)
+    psi, iterations, residual = _newton(k_total, sizes)
     return PsiEstimate(psi, k_total, n_total, iterations, residual, STATUS_CONVERGED)
 
 

@@ -88,6 +88,11 @@ class TestMarginalLogScore:
         with pytest.raises(ValueError, match="class id"):
             marginal_log_score(hand_model, 0, class_id)
 
+    def test_float_value_rejected(self, hand_model):
+        # 1.7 was truncated and scored as value 1
+        with pytest.raises(ValueError, match="integers"):
+            marginal_log_score(hand_model, 1.7, 0)
+
     def test_unseen_everywhere_goes_to_highest_dispersal(self):
         # equal class sizes; value unseen in every class
         model = train(*sample_labeled_dataset([1.0, 10.0, 50.0], 400, 13))

@@ -125,6 +125,16 @@ class TestSpeciesCounts:
         with pytest.raises(ValueError, match="64-bit"):
             predictive_prob(SpeciesCounts([0], [1]), 1.0, 2**63)
 
+    def test_count_of_rejects_float_ids(self):
+        # a float id was truncated: count_of([1.9]) read as species 1
+        counts = SpeciesCounts([1], [3])
+        with pytest.raises(ValueError, match="integers"):
+            counts.count_of([1.9])
+        with pytest.raises(ValueError, match="integers"):
+            predictive_prob(counts, 1.0, 1.5)
+        assert counts.count_of([-1, 1, 2]).tolist() == [0, 3, 0]
+        assert counts.count_of([]).tolist() == []
+
     def test_from_values_rejects_id_beyond_int64(self):
         with pytest.raises(ValueError, match="64-bit"):
             SpeciesCounts.from_values([0, 2**64])

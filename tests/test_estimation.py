@@ -1,9 +1,12 @@
 """Tests for dispersal-parameter estimation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pdinfer import (
     PSI_MAX,
@@ -12,12 +15,15 @@ from pdinfer import (
     UrnConfig,
     derive_seeds,
     expected_distinct,
+    fisher_information,
     fit_psi,
     fit_psi_pooled,
+    lr_test,
     partition_of,
     sample_sequence,
     score_U,
 )
+from pdinfer.core import _DIRECT_SUM_LIMIT, _distinct_and_slope
 from pdinfer.estimation import RESIDUAL_TOL
 
 from oracles import expected_distinct_exact
@@ -52,6 +58,17 @@ class TestExpectedDistinct:
         values = [expected_distinct(psi, 50) for psi in (0.1, 1.0, 5.0, 80.0)]
         assert values == sorted(values)
         assert all(1.0 < v < 50.0 for v in values[1:])
+
+    @pytest.mark.parametrize("psi", [1e-3, 0.7, 10.0, 1e3, 1e6, 1e8])
+    @pytest.mark.parametrize("n", [1, 2, 50, 4000, _DIRECT_SUM_LIMIT + 1, 3 * 10**6])
+    def test_slope_helper(self, psi, n):
+        # one pass gives E[K_n] bit for bit and its slope in log psi
+        distinct, slope = _distinct_and_slope(psi, n)
+        assert distinct == expected_distinct(psi, n)
+        if n == 1:
+            assert slope == 0.0
+        else:
+            np.testing.assert_allclose(slope, psi**2 * fisher_information(psi, n), rtol=1e-12)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -92,6 +109,27 @@ class TestFitPsi:
             fit = fit_psi(rho)
             assert abs(score_U(rho, fit.psi_hat)) <= 1e-6
 
+    @pytest.mark.parametrize("psi", [1e-3, 1.0, 10.0, 1e3, 1e6, 1e8])
+    @pytest.mark.parametrize("n", [3, 50, 1000, 10**5, _DIRECT_SUM_LIMIT + 1, 3 * 10**6])
+    def test_grid_residual_and_iterations(self, psi, n):
+        # k near E[K_n] at psi, as a partition with k - 1 singletons and one
+        # abundant species; n past the direct-sum limit runs the closed forms
+        k = min(max(round(expected_distinct(psi, n)), 2), n - 1)
+        rho = Partition(n=n, rho=((1, k - 1), (n - k + 1, 1)))
+        fit = fit_psi(rho)
+        assert fit.converged
+        assert fit.residual <= RESIDUAL_TOL
+        assert fit.iterations <= 10
+        assert fit.residual == abs(expected_distinct(fit.psi_hat, n) - k)
+        assert fit_psi_pooled([rho, rho]).psi_hat == fit.psi_hat
+
+    def test_small_roots_against_exact_oracle(self):
+        for n in range(3, 13):
+            for k in range(2, n):
+                fit = fit_psi(Partition(n=n, rho=((1, k - 1), (n - k + 1, 1))))
+                exact_gap = expected_distinct_exact(Fraction(fit.psi_hat), n) - k
+                assert abs(exact_gap) <= RESIDUAL_TOL, (n, k)
+
     def test_bracket_sign_change(self):
         # the fixed bracket must straddle the root of every non-degenerate fit
         for k_obs, n in ((2, 3), (5, 40), (99, 100), (30, 10_000)):
@@ -113,6 +151,21 @@ class TestFitPsiPooled:
         assert fit.converged
         np.testing.assert_allclose(fit.psi_hat, SQRT2, atol=1e-6)
         assert fit.k_obs == 4 and fit.n == 6
+
+    @settings(max_examples=150)
+    @given(
+        psi=st.floats(min_value=0.1, max_value=1000.0),
+        n=st.integers(min_value=3, max_value=5000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_two_copies_exactly_the_single_fit(self, psi, n, seed):
+        # doubling the sample list doubles the gap and its slope exactly, so
+        # the solver takes the same steps and the LR statistic is exactly 0
+        rho = partition_of(sample_sequence(UrnConfig(psi, n, seed)).counts)
+        fit = fit_psi(rho)
+        assert fit_psi_pooled([rho, rho]).psi_hat == fit.psi_hat
+        assume(fit.converged)
+        assert lr_test([rho, rho]).statistic == 0.0
 
     def test_pooled_root_property(self):
         samples = [
