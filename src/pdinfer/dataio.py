@@ -10,6 +10,14 @@ data or ``<species-id>`` for unlabeled data::
     0	1
     ...
 
+The reader accepts any whitespace between fields, blank lines, lines starting
+with ``#`` anywhere (each ``# key = value`` one is metadata) and ids below
+2^63. A body made only of ASCII digits, spaces, tabs and newlines after the
+leading ``#`` block — the layout the writer produces — is parsed in one
+``np.loadtxt`` call. Any other body, and any body that call rejects, goes
+through the line parser, which is the reference: it alone decides what is
+accepted and names the first bad line.
+
 Classification results use the same comment conventions: one
 ``<index>\\t<predicted-class>\\t<log-score-contribution>`` line per test item
 and a footer with the total log score, sweep count, and convergence flag.
@@ -20,6 +28,8 @@ metadata lines and then the body.
 
 from __future__ import annotations
 
+import io
+import itertools
 import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -45,6 +55,9 @@ KIND_UNLABELED = "unlabeled"
 
 _MAGIC_RE = re.compile(r"^# pd-infer v1 (labeled|unlabeled) n=(\d+)\s*$")
 _META_RE = re.compile(r"^#\s*([A-Za-z0-9_.-]+)\s*=\s*(.*?)\s*$")
+_LEADING_COMMENTS_RE = re.compile(r"(?:#[^\n]*\n)*")
+_FAST_CHARS = b"0123456789 \t\n"
+_WRITE_BATCH = 1 << 14
 
 
 class DatasetFormatError(ValueError):
@@ -71,11 +84,19 @@ def _write_v1(
     metadata: Mapping[str, object] | None,
     body: Iterable[str],
 ) -> None:
-    """Write a v1 text file: the magic line, ``# key = value`` metadata lines, then ``body``."""
-    lines = [f"# {FORMAT_VERSION} {title}"]
-    lines.extend(f"# {key} = {value}" for key, value in (metadata or {}).items())
-    lines.extend(body)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write a v1 text file: the magic line, ``# key = value`` metadata lines, then ``body``.
+
+    Lines are joined and written a batch at a time, so a large body is never
+    held as one list of lines.
+    """
+    lines = itertools.chain(
+        [f"# {FORMAT_VERSION} {title}"],
+        (f"# {key} = {value}" for key, value in (metadata or {}).items()),
+        body,
+    )
+    with Path(path).open("w", encoding="utf-8") as handle:
+        while batch := list(itertools.islice(lines, _WRITE_BATCH)):
+            handle.write("\n".join(batch) + "\n")
 
 
 def write_dataset(
@@ -87,18 +108,16 @@ def write_dataset(
     """Write a dataset file; labeled when ``labels`` is given."""
     values = np.asarray(values, dtype=np.int64)
     if labels is None:
-        kind, body = KIND_UNLABELED, (f"{int(v)}" for v in values)
+        kind, body = KIND_UNLABELED, map(str, values.tolist())
     else:
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != values.shape:
             raise ValueError("labels and values must have the same length")
-        kind, body = KIND_LABELED, (f"{int(c)}\t{int(v)}" for c, v in zip(labels, values))
+        kind, body = KIND_LABELED, map("{}\t{}".format, labels.tolist(), values.tolist())
     _write_v1(path, f"{kind} n={values.size}", metadata, body)
 
 
-def _parse_record(
-    line: str, line_number: int, labeled: bool
-) -> tuple[int, int] | int:
+def _parse_record(line: str, line_number: int, labeled: bool) -> list[int]:
     fields = line.split()
     expected = 2 if labeled else 1
     if len(fields) != expected:
@@ -115,7 +134,49 @@ def _parse_record(
         raise DatasetFormatError(
             f"line {line_number}: ids must be non-negative and below 2^63"
         )
-    return (numbers[0], numbers[1]) if labeled else numbers[0]
+    return numbers
+
+
+def _parse_lines(text: str, labeled: bool) -> tuple[dict[str, str], np.ndarray]:
+    """Metadata and an ``(n, fields)`` record table from the text after the header.
+
+    The reference parser: one line at a time, numbered from line 2, raising
+    :class:`DatasetFormatError` at the first bad record.
+    """
+    metadata: dict[str, str] = {}
+    records: list[int] = []
+    for line_number, line in enumerate(text.split("\n"), start=2):
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            meta = _META_RE.match(line)
+            if meta:
+                metadata[meta.group(1)] = meta.group(2)
+            continue
+        records.extend(_parse_record(line, line_number, labeled))
+    return metadata, np.array(records, dtype=np.int64).reshape(-1, 2 if labeled else 1)
+
+
+def _parse_fast(body: str, labeled: bool) -> np.ndarray | None:
+    """The ``(n, fields)`` record table of a body without ``#`` lines, or None.
+
+    Parses in one ``np.loadtxt`` call a body made only of ASCII digits,
+    spaces, tabs and newlines, which the line parser would read to the same
+    table. Returns None for any other body, and for one that ``loadtxt``
+    rejects (an id of 2^63 or more, a changing field count) or that has the
+    wrong field count, so the line parser can name the bad line.
+    """
+    if not body.isascii() or body.encode("ascii").translate(None, _FAST_CHARS):
+        return None
+    width = 2 if labeled else 1
+    if not body.strip():
+        # loadtxt warns on a body without records
+        return np.empty((0, width), dtype=np.int64)
+    try:
+        table = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2)
+    except (ValueError, OverflowError):
+        return None
+    return table if table.shape[1] == width else None
 
 
 def read_dataset(path: str | Path) -> Dataset:
@@ -135,39 +196,33 @@ def read_dataset(path: str | Path) -> Dataset:
                     f"line 1: expected '# {FORMAT_VERSION} labeled|unlabeled n=<N>' "
                     f"header, got {first.strip()!r}"
                 )
-            kind = match.group(1)
-            declared_n = int(match.group(2))
-            labeled = kind == KIND_LABELED
+            text = handle.read()
+        kind = match.group(1)
+        declared_n = int(match.group(2))
+        labeled = kind == KIND_LABELED
 
-            metadata: dict[str, str] = {}
-            values: list[int] = []
-            labels: list[int] = []
-            for line_number, line in enumerate(handle, start=2):
-                if not line.strip():
-                    continue
-                if line.startswith("#"):
-                    meta = _META_RE.match(line)
-                    if meta:
-                        metadata[meta.group(1)] = meta.group(2)
-                    continue
-                record = _parse_record(line, line_number, labeled)
-                if labeled:
-                    labels.append(record[0])
-                    values.append(record[1])
-                else:
-                    values.append(record)
-            if len(values) != declared_n:
-                raise DatasetFormatError(
-                    f"header declares n={declared_n} but file contains {len(values)} records"
-                )
+        head = _LEADING_COMMENTS_RE.match(text).end()
+        table = _parse_fast(text[head:], labeled)
+        if table is None:
+            metadata, table = _parse_lines(text, labeled)
+        else:
+            metadata = {
+                meta.group(1): meta.group(2)
+                for meta in map(_META_RE.match, text[:head].split("\n"))
+                if meta
+            }
+        if len(table) != declared_n:
+            raise DatasetFormatError(
+                f"header declares n={declared_n} but file contains {len(table)} records"
+            )
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except DatasetFormatError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from None
     return Dataset(
         kind=kind,
-        values=np.asarray(values, dtype=np.int64),
-        labels=np.asarray(labels, dtype=np.int64) if labeled else None,
+        values=np.ascontiguousarray(table[:, -1]),
+        labels=np.ascontiguousarray(table[:, 0]) if labeled else None,
         metadata=metadata,
     )
 
@@ -182,11 +237,9 @@ def write_classification(
     metadata: Mapping[str, object] | None = None,
 ) -> None:
     """Write a classification result file (see the module docstring)."""
-    labeling = np.asarray(labeling)
-    body = [
-        f"{i}\t{int(label)}\t{contribution:.17g}"
-        for i, (label, contribution) in enumerate(zip(labeling, per_item_log))
-    ]
+    labeling = np.asarray(labeling, dtype=np.int64)
+    contributions = np.asarray(per_item_log, dtype=np.float64).tolist()
+    body = list(map("{}\t{}\t{:.17g}".format, range(labeling.size), labeling.tolist(), contributions))
     body.append(f"# total_log_score = {log_score:.17g}")
     body.append(f"# sweeps = {int(sweeps)}")
     body.append(f"# converged = {str(bool(converged)).lower()}")

@@ -85,7 +85,8 @@ def _newton(k_total: int, sizes: Sequence[int]) -> tuple[float, int, float]:
 
     Starts from the larger of two guesses at the per-sample means ``k``, ``n``:
     ``(k - 1) / log1p(n / k)`` and the root's limit as ``k`` nears ``n``. The
-    caller has ruled out the boundary cases, which have no root.
+    caller has ruled out the boundary cases, which have no root. Returns the
+    last ``psi``, the number of evaluations and the signed gap at ``psi``.
     """
     k, n = k_total / len(sizes), sum(sizes) / len(sizes)
     lo, hi = math.log(PSI_MIN), math.log(PSI_MAX)
@@ -104,7 +105,7 @@ def _newton(k_total: int, sizes: Sequence[int]) -> tuple[float, int, float]:
         # after a Newton step the next gap is at most |gap * step| / 2, to second order
         last = abs(step) <= STEP_TOL and abs(gap * step) <= len(sizes) * RESIDUAL_TOL
         u -= step
-    return psi, iterations, abs(gap)
+    return psi, iterations, gap
 
 
 def fit_psi_pooled(samples: Sequence[Partition]) -> PsiEstimate:
@@ -134,8 +135,19 @@ def fit_psi_pooled(samples: Sequence[Partition]) -> PsiEstimate:
         residual = abs(_gap_and_slope(psi, k_total, sizes)[0])
         return PsiEstimate(psi, k_total, n_total, 0, residual, STATUS_DEGENERATE_HIGH)
 
-    psi, iterations, residual = _newton(k_total, sizes)
-    return PsiEstimate(psi, k_total, n_total, iterations, residual, STATUS_CONVERGED)
+    psi, iterations, gap = _newton(k_total, sizes)
+    # A root beyond an edge of the bracket draws every step to that edge, so
+    # the search ends within STEP_TOL of it in log psi with the gap pointing
+    # out, and the gap at the edge itself has the same sign.
+    if gap < 0.0:
+        edge, status = PSI_MAX, STATUS_DEGENERATE_HIGH
+    else:
+        edge, status = PSI_MIN, STATUS_DEGENERATE_LOW
+    if abs(math.log(psi / edge)) <= STEP_TOL:
+        edge_gap = _gap_and_slope(edge, k_total, sizes)[0]
+        if edge_gap * gap > 0.0:
+            return PsiEstimate(edge, k_total, n_total, iterations, abs(edge_gap), status)
+    return PsiEstimate(psi, k_total, n_total, iterations, abs(gap), STATUS_CONVERGED)
 
 
 def fit_psi(rho: Partition) -> PsiEstimate:

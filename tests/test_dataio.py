@@ -1,10 +1,37 @@
 """Tests for the dataset and result text formats."""
 
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from pdinfer import DatasetFormatError, read_dataset, write_dataset
+from pdinfer import DatasetFormatError, dataio, read_dataset, write_dataset
 from pdinfer.dataio import write_classification
+
+ID_MAX = 2**63 - 1
+
+
+def exactly(path, message):
+    """A ``pytest.raises`` pattern for the whole message about ``path``."""
+    return f"^{re.escape(f'{path}: {message}')}$"
+
+
+def outcome(path):
+    """What ``read_dataset`` makes of ``path``: the parsed fields or the error message."""
+    try:
+        dataset = read_dataset(path)
+    except DatasetFormatError as exc:
+        return str(exc)
+    labels = None if dataset.labels is None else (dataset.labels.dtype, dataset.labels.tolist())
+    return dataset.kind, dataset.values.dtype, dataset.values.tolist(), labels, dataset.metadata
+
+
+def line_parser_outcome(path):
+    with mock.patch.object(dataio, "_parse_fast", return_value=None):
+        return outcome(path)
 
 
 class TestRoundTrip:
@@ -31,35 +58,170 @@ class TestRoundTrip:
             write_dataset(tmp_path / "x.tsv", [1, 2], labels=[0])
 
 
+_IDS = st.lists(st.integers(min_value=0, max_value=ID_MAX), max_size=30)
+_METADATA = st.dictionaries(
+    st.from_regex(r"[A-Za-z0-9_.-]+", fullmatch=True),
+    st.text(st.characters(codec="utf-8", exclude_characters="\n\r"), max_size=12).map(str.strip),
+    max_size=3,
+)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=_IDS, metadata=_METADATA)
+    def test_unlabeled(self, tmp_path, values, metadata):
+        path = tmp_path / "data.tsv"
+        write_dataset(path, values, metadata=metadata)
+        assert outcome(path) == ("unlabeled", np.int64, values, None, metadata)
+
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        records=st.lists(st.tuples(st.integers(0, ID_MAX), st.integers(0, ID_MAX)), max_size=30),
+        metadata=_METADATA,
+    )
+    def test_labeled(self, tmp_path, records, metadata):
+        path = tmp_path / "data.tsv"
+        labels = [c for c, _ in records]
+        values = [v for _, v in records]
+        write_dataset(path, values, labels=labels, metadata=metadata)
+        assert outcome(path) == ("labeled", np.int64, values, (np.int64, labels), metadata)
+
+
+def test_canonical_files_never_reach_the_line_parser(tmp_path, monkeypatch):
+    # files in the writer's layout, as the benchmark and the CLI produce them,
+    # must take the one-call path; this fails if they fall back
+    def refuse(*args):
+        raise AssertionError("line parser used on a canonical file")
+
+    monkeypatch.setattr(dataio, "_parse_lines", refuse)
+    values = [0, 1, 1, ID_MAX, 0]
+    metadata = {"seed": "7", "tool_version": "0.1.0"}
+    write_dataset(tmp_path / "u.tsv", values, metadata=metadata)
+    write_dataset(tmp_path / "l.tsv", values, labels=[0, 0, 1, 2, 2], metadata=metadata)
+    write_dataset(tmp_path / "empty.tsv", [], labels=[], metadata=metadata)
+    assert outcome(tmp_path / "u.tsv") == ("unlabeled", np.int64, values, None, metadata)
+    assert outcome(tmp_path / "l.tsv") == (
+        "labeled", np.int64, values, (np.int64, [0, 0, 1, 2, 2]), metadata
+    )
+    assert outcome(tmp_path / "empty.tsv") == ("labeled", np.int64, [], (np.int64, []), metadata)
+
+
+# Bodies that the one-call path must read exactly as the line parser does:
+# the values read, or the line parser's message where it refuses the body.
+_HAND_BUILT = [
+    ("unlabeled", "0\n  # indented = 3\n1\n", "line 4: expected 1 field(s), got 4"),
+    ("labeled", "\n0 1\n   \n\t\n1\t2\n\n", [1, 2]),
+    ("labeled", " 0 \t 1\t\n\t2  3 \n", [1, 3]),
+    ("unlabeled", "007\n+5\n1_000\n\u0663\n", [7, 5, 1000, 3]),
+    ("labeled", "0\x0c1\n", [1]),
+    ("labeled", "0\t1\r\n1\t2\r\n", [1, 2]),
+    ("labeled", "0\t1\n1\t2", [1, 2]),
+    ("unlabeled", "0 1\n", "line 3: expected 1 field(s), got 2"),
+    ("labeled", "0\n1\n", "line 3: expected 2 field(s), got 1"),
+    ("labeled", "0 1\n2\n", "line 4: expected 2 field(s), got 1"),
+    ("unlabeled", f"{ID_MAX}\n", [ID_MAX]),
+    ("unlabeled", f"{2**63}\n", "line 3: ids must be non-negative and below 2^63"),
+    ("unlabeled", "1" * 20 + "\n", "line 3: ids must be non-negative and below 2^63"),
+    ("unlabeled", "", []),
+    ("labeled", "\n \n", []),
+]
+
+
+def _write_raw(path, kind, body, n_off=0):
+    """Write ``body`` under a v1 header declaring its record lines plus ``n_off``."""
+    lines = body.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    n = sum(1 for line in lines if line.strip() and not line.startswith("#")) + n_off
+    path.write_bytes(f"# pd-infer v1 {kind} n={n}\n# seed = 1\n{body}".encode())
+
+
+@st.composite
+def _bodies(draw, width):
+    """Record bodies in the writer's character set, or (half the time) anywhere near it."""
+    odd = draw(st.booleans())
+    field = st.integers(0, ID_MAX).map(str)
+    if odd:
+        field = st.one_of(
+            field,
+            st.integers(0, 2**64).map(str),
+            st.sampled_from(["007", "+5", "1_000", "\u0663", "-3", "x", "1.0"]),
+        )
+    separators = [" ", "\t", " \t "] + (["\x0c"] if odd else [])
+    extra = ["", "   ", "\t"] + (["# later = 2", "  # indented = 3", "#", "\x0c"] if odd else [])
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(extra)))
+            continue
+        count = draw(st.sampled_from([width] * 4 + [1, 2, 3])) if odd else width
+        fields = [draw(field) for _ in range(count)]
+        indent = draw(st.sampled_from(["", "", " ", "\t"]))
+        trail = draw(st.sampled_from(["", "", " ", "\t"]))
+        lines.append(indent + draw(st.sampled_from(separators)).join(fields) + trail)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + (end if lines and draw(st.booleans()) else "")
+
+
+class TestFastPathMatchesLineParser:
+    @pytest.mark.parametrize(("kind", "body", "expected"), _HAND_BUILT)
+    def test_hand_built(self, tmp_path, kind, body, expected):
+        path = tmp_path / "data.tsv"
+        _write_raw(path, kind, body)
+        result = outcome(path)
+        assert result == line_parser_outcome(path)
+        if isinstance(expected, str):
+            assert result == f"{path}: {expected}"
+        else:
+            assert result[2] == expected
+
+    def test_comment_after_records_is_metadata(self, tmp_path):
+        path = tmp_path / "data.tsv"
+        _write_raw(path, "unlabeled", "0\n# later = 2\n1\n")
+        assert outcome(path) == line_parser_outcome(path)
+        assert read_dataset(path).metadata == {"seed": "1", "later": "2"}
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(["labeled", "unlabeled"]), data=st.data())
+    def test_property(self, tmp_path, kind, data):
+        path = tmp_path / "data.tsv"
+        body = data.draw(_bodies(2 if kind == "labeled" else 1))
+        _write_raw(path, kind, body, n_off=data.draw(st.sampled_from([0, 0, 0, 1])))
+        assert outcome(path) == line_parser_outcome(path)
+
+
 class TestParseErrors:
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("0\n1\n")
-        with pytest.raises(DatasetFormatError, match="line 1"):
+        message = "line 1: expected '# pd-infer v1 labeled|unlabeled n=<N>' header, got '0'"
+        with pytest.raises(DatasetFormatError, match=exactly(path, message)):
             read_dataset(path)
 
     def test_bad_field_count_names_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("# pd-infer v1 unlabeled n=2\n0\n1 2\n")
-        with pytest.raises(DatasetFormatError, match="line 3"):
+        message = "line 3: expected 1 field(s), got 2"
+        with pytest.raises(DatasetFormatError, match=exactly(path, message)):
             read_dataset(path)
 
     def test_non_integer_field_names_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("# pd-infer v1 labeled n=1\n0\tx\n")
-        with pytest.raises(DatasetFormatError, match="line 2"):
+        message = "line 2: fields must be integers, got '0\\tx'"
+        with pytest.raises(DatasetFormatError, match=exactly(path, message)):
             read_dataset(path)
 
     def test_negative_id_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("# pd-infer v1 unlabeled n=1\n-3\n")
-        with pytest.raises(DatasetFormatError, match="non-negative"):
+        message = "line 2: ids must be non-negative and below 2^63"
+        with pytest.raises(DatasetFormatError, match=exactly(path, message)):
             read_dataset(path)
 
     def test_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("# pd-infer v1 unlabeled n=3\n0\n1\n")
-        with pytest.raises(DatasetFormatError, match="n=3"):
+        message = "header declares n=3 but file contains 2 records"
+        with pytest.raises(DatasetFormatError, match=exactly(path, message)):
             read_dataset(path)
 
 

@@ -23,6 +23,7 @@ from pdinfer import (
     sample_sequence,
     score_U,
 )
+from pdinfer import estimation
 from pdinfer.core import _DIRECT_SUM_LIMIT, _distinct_and_slope
 from pdinfer.estimation import RESIDUAL_TOL
 
@@ -136,6 +137,38 @@ class TestFitPsi:
             low_gap = expected_distinct(PSI_MIN, n) - k_obs
             high_gap = expected_distinct(PSI_MAX, n) - k_obs
             assert low_gap < 0 < high_gap
+
+    @pytest.mark.parametrize("n", [150_000, 200_000])
+    def test_root_beyond_psi_max_is_degenerate_high(self, n):
+        # k = n - 1 puts the root near n(n - 1) / 2, past PSI_MAX
+        fit = fit_psi(Partition(n=n, rho=((1, n - 2), (2, 1))))
+        assert expected_distinct(PSI_MAX, n) < n - 1
+        assert fit.status == "degenerate_high" and fit.psi_hat == PSI_MAX
+        assert fit.residual == n - 1 - expected_distinct(PSI_MAX, n)
+
+    @pytest.mark.parametrize(
+        ("edge", "scale", "n", "k", "status"),
+        [
+            # the closed-form guess lies past the moved edge
+            ("PSI_MAX", 0.9, 1000, 500, "degenerate_high"),
+            # the guess lies inside, so bisection steps walk up to the edge
+            ("PSI_MAX", 0.9997, 1000, 999, "degenerate_high"),
+            ("PSI_MIN", 1.5, 1000, 2, "degenerate_low"),
+            ("PSI_MIN", 20.0, 1000, 2, "degenerate_low"),
+            # a root just inside the edge, approached from below, is still a
+            # converged fit
+            ("PSI_MAX", 1.0 + 1e-7, 20, 12, "converged"),
+        ],
+    )
+    def test_root_beyond_a_moved_edge(self, monkeypatch, edge, scale, n, k, status):
+        rho = Partition(n=n, rho=((1, k - 1), (n - k + 1, 1)))
+        root = fit_psi(rho).psi_hat
+        monkeypatch.setattr(estimation, edge, root * scale)
+        fit = fit_psi(rho)
+        assert fit.status == status
+        if status != "converged":
+            assert fit.psi_hat == root * scale
+            assert fit.residual == abs(expected_distinct(root * scale, n) - k)
 
 
 class TestFitPsiPooled:
