@@ -12,8 +12,21 @@ changes nothing.
 
 The joint score factorizes over (class, value) groups: every one of the
 ``q`` co-assigned test items holding the same value sees ``q - 1`` twins. A
-table of group terms, built once per call, therefore prices every move, and
-a full sweep is O(items x classes) table lookups.
+move changes only the two groups of the moved item's value, so items of
+different values never interact. After the marginal start, one numpy pass
+over the (value x class) group counts finds each item's best move, from the
+largest and second-largest join gain of its value's row, which is
+O(values x classes), and marks a value movable only if one of its items
+would gain more than the acceptance margin. A value that is not movable at
+the start stays so, since only moves of its own items change its groups. The
+input-order sweeps then run in Python over the movable values' items alone,
+with a table of group terms built for those values, and reach the same
+labeling, sweep count and convergence flag as sweeps over every item. With
+no movable value, the marginal labeling is already the local optimum and the
+search reports one sweep. The screen rests on this factorization: a joint
+score whose denominator rises with all of a class's test items, as in the
+Ewens joint predictive that ROADMAP.md plans, couples the values of a class,
+and adopting it means revisiting the screen.
 
 A training class whose dispersal fit lands on the bracket boundary (one
 distinct value, or all values distinct) is a normal outcome, not an error:
@@ -234,21 +247,20 @@ def simultaneous_log_score(
 def _greedy_sweeps(
     join_gain: list[list[float]],
     offsets: list[int],
+    groups: list[list[int]],
     inverse: list[int],
     labels: list[int],
-) -> tuple[list[list[int]], int, bool]:
-    """Input-order greedy ascent of the joint score; updates ``labels`` in place.
+) -> tuple[int, bool]:
+    """Input-order greedy ascent of the joint score.
 
     ``join_gain[c][offsets[u] + q]`` is the joint-score change when a group
     of ``q`` items of value ``u`` in class ``c`` gains one item; leaving a
-    group of ``q`` items is the negated gain at ``q - 1``. Returns the final
-    group sizes ``[u][c]``, the sweep count and whether the last sweep moved
+    group of ``q`` items is the negated gain at ``q - 1``. ``groups[u][c]``
+    holds the group sizes of the start labeling ``labels``; both are updated
+    in place. Returns the sweep count and whether the last sweep moved
     nothing.
     """
     k = len(join_gain)
-    groups = [[0] * k for _ in offsets]
-    for u, c in zip(inverse, labels):
-        groups[u][c] += 1
     for sweep in range(1, _MAX_SWEEPS + 1):
         changed = False
         for i, u in enumerate(inverse):
@@ -270,8 +282,41 @@ def _greedy_sweeps(
                 labels[i] = best_class
                 changed = True
         if not changed:
-            return groups, sweep, True
-    return groups, _MAX_SWEEPS, False
+            return sweep, True
+    return _MAX_SWEEPS, False
+
+
+def _join_gain(train_count, q, m_c, psi) -> np.ndarray:
+    """Joint-score change when a ``q``-item (class, value) group gains one item.
+
+    The group's term in the joint score is ``q * factor(q)``, so the gain is
+    ``(q + 1) factor(q + 1) - q factor(max(q, 1))``; leaving a group of ``q``
+    items loses the gain at ``q - 1``. The arguments broadcast as in
+    :func:`_log_factor`.
+    """
+    return (q + 1) * _log_factor(train_count, q + 1, m_c, psi) - q * _log_factor(
+        train_count, np.maximum(q, 1), m_c, psi
+    )
+
+
+def _movable_values(groups, train_counts, m_c, psi) -> np.ndarray:
+    """Values with an item whose move to another class beats ``_IMPROVE_EPS``.
+
+    ``groups[u, c]`` counts the test items of value ``u`` labeled ``c``. An
+    item's best move goes to the largest join gain of its row, or to the
+    second largest when the largest is its own class; subtracting the leave
+    term preserves that order, so the check is O(values x classes).
+    """
+    join = _join_gain(train_counts, groups, m_c, psi)
+    leave = _join_gain(train_counts, np.maximum(groups - 1, 0), m_c, psi)
+    rows = np.arange(groups.shape[0])
+    first = np.argmax(join, axis=1)
+    best = join[rows, first]
+    join[rows, first] = -np.inf
+    runner_up = join.max(axis=1)
+    own_is_best = np.arange(groups.shape[1]) == first[:, None]
+    target = np.where(own_is_best, runner_up[:, None], best[:, None])
+    return ((target - leave > _IMPROVE_EPS) & (groups > 0)).any(axis=1)
 
 
 def classify_simultaneous(
@@ -284,30 +329,43 @@ def classify_simultaneous(
     Stops when a sweep makes no change, which is a local optimum of the
     joint score, or after a fixed cap of 100 sweeps, which is reported as
     ``converged = False``.
+
+    Only the items of values that :func:`_movable_values` finds movable at
+    the start are swept; the other values' groups never change, so the
+    labeling, ``sweeps`` and ``converged`` are those of a sweep over every
+    item. That holds while the joint score factorizes over (class, value)
+    groups; a per-class denominator would couple the values of a class and
+    void the screen (see the module docstring).
     """
     values = _as_test_values(test_values)
-    labels = classify_marginal(model, values).labeling.tolist()
-    unique_values, inverse, group_sizes = np.unique(
-        values, return_inverse=True, return_counts=True
-    )
+    # a copy: the labeling that classify_marginal returned stays as it was
+    labeling = classify_marginal(model, values).labeling.copy()
+    unique_values, inverse = np.unique(values, return_inverse=True)
     train_counts, m_c, psi = _score_inputs(model, unique_values)
+    k = model.k
+    groups = np.bincount(inverse * k + labeling, minlength=unique_values.size * k).reshape(-1, k)
 
-    # group terms q * factor(q) for q = 0 .. N_u + 1 per value u, stacked by value
-    span = group_sizes + 2
-    starts = np.cumsum(span) - span
-    value_of_row = np.repeat(np.arange(unique_values.size), span)
-    q = (np.arange(span.sum()) - starts[value_of_row])[:, None]
-    terms = q * _log_factor(train_counts[value_of_row], np.maximum(q, 1), m_c, psi)
-    join_gain = np.diff(terms, axis=0).T.tolist()
+    sweeps, converged = 1, True
+    active = _movable_values(groups, train_counts, m_c, psi)
+    if active.any():
+        items = np.flatnonzero(active[inverse])
+        local_value = np.cumsum(active) - 1
+        # join gains at q = 0 .. N_u for each movable value u, stacked by value
+        span = groups[active].sum(axis=1) + 1
+        starts = np.cumsum(span) - span
+        value_of_row = np.repeat(np.flatnonzero(active), span)
+        q = (np.arange(span.sum()) - np.repeat(starts, span))[:, None]
+        join_gain = _join_gain(train_counts[value_of_row], q, m_c, psi).T.tolist()
+        labels = labeling[items].tolist()
+        moved_groups = groups[active].tolist()
+        sweeps, converged = _greedy_sweeps(
+            join_gain, starts.tolist(), moved_groups, local_value[inverse[items]].tolist(), labels
+        )
+        labeling[items] = labels
+        groups[active] = moved_groups
 
-    groups, sweeps, converged = _greedy_sweeps(
-        join_gain, starts.tolist(), inverse.tolist(), labels
-    )
-
-    labeling = np.asarray(labels, dtype=np.int64)
-    twins_and_self = np.asarray(groups)[inverse, labeling]
     per_item_log = _log_factor(
-        train_counts[inverse, labeling], twins_and_self, m_c[labeling], psi[labeling]
+        train_counts[inverse, labeling], groups[inverse, labeling], m_c[labeling], psi[labeling]
     )
     return ClassificationResult(
         labeling=labeling,

@@ -12,11 +12,12 @@ data or ``<species-id>`` for unlabeled data::
 
 The reader accepts any whitespace between fields, blank lines, lines starting
 with ``#`` anywhere (each ``# key = value`` one is metadata) and ids below
-2^63. A body made only of ASCII digits, spaces, tabs and newlines after the
-leading ``#`` block — the layout the writer produces — is parsed in one
-``np.loadtxt`` call. Any other body, and any body that call rejects, goes
-through the line parser, which is the reference: it alone decides what is
-accepted and names the first bad line.
+2^63 written in ASCII digits (leading zeros allowed; a sign, ``_`` or a digit
+of another script is refused). A body made only of ASCII digits, spaces, tabs
+and newlines after the leading ``#`` block — the layout the writer produces —
+is parsed in one ``np.loadtxt`` call. Any other body, and any body that call
+rejects, goes through the line parser, which is the reference: it alone
+decides what is accepted and names the first bad line.
 
 Classification results use the same comment conventions: one
 ``<index>\\t<predicted-class>\\t<log-score-contribution>`` line per test item
@@ -57,6 +58,9 @@ _MAGIC_RE = re.compile(r"^# pd-infer v1 (labeled|unlabeled) n=(\d+)\s*$")
 _META_RE = re.compile(r"^#\s*([A-Za-z0-9_.-]+)\s*=\s*(.*?)\s*$")
 _LEADING_COMMENTS_RE = re.compile(r"(?:#[^\n]*\n)*")
 _FAST_CHARS = b"0123456789 \t\n"
+# int() would also take "+5", "1_000" and other scripts' digits; a "-" is
+# let through so that a negative id, "-0" included, gets its own message
+_INT_RE = re.compile(r"-?[0-9]+")
 _WRITE_BATCH = 1 << 14
 
 
@@ -124,13 +128,12 @@ def _parse_record(line: str, line_number: int, labeled: bool) -> list[int]:
         raise DatasetFormatError(
             f"line {line_number}: expected {expected} field(s), got {len(fields)}"
         )
-    try:
-        numbers = [int(f) for f in fields]
-    except ValueError:
+    if not all(_INT_RE.fullmatch(f) for f in fields):
         raise DatasetFormatError(
             f"line {line_number}: fields must be integers, got {line.strip()!r}"
-        ) from None
-    if not all(0 <= x < _ID_LIMIT for x in numbers):
+        )
+    numbers = [int(f) for f in fields]
+    if "-" in line or not all(x < _ID_LIMIT for x in numbers):
         raise DatasetFormatError(
             f"line {line_number}: ids must be non-negative and below 2^63"
         )

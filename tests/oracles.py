@@ -41,3 +41,54 @@ def expected_distinct_exact(psi: Fraction, n: int) -> Fraction:
     """Exact rational expected number of distinct species."""
     psi = Fraction(psi)
     return sum(psi / (psi + j) for j in range(n))
+
+
+def greedy_joint_labeling(train_counts, class_sizes, psis, values, max_sweeps=100, eps=1e-12):
+    """Plain greedy ascent of the simultaneous classifier's joint score.
+
+    ``train_counts[c]`` maps value -> count in class ``c``'s training data,
+    ``class_sizes[c]`` is that class's size and ``psis[c]`` its dispersal.
+    An item labeled ``c`` whose value ``v`` has ``q`` items labeled ``c``
+    (itself included) has the factor ``(t + q - 1) / (m + q - 1 + psi)`` if
+    ``t = train_counts[c][v] > 0``, else ``psi / (m + q - 1 + psi)``. Starts
+    from the marginal labeling (``q = 1``, lowest class on ties), visits the
+    items in input order and moves one to the class that raises the joint
+    score most, if by more than ``eps``. Returns the labels, the sweep count,
+    whether the last sweep moved nothing, and each item's log factor.
+    """
+    k = len(psis)
+
+    def log_factor(c, v, q):
+        t = train_counts[c].get(v, 0)
+        numerator = t + q - 1 if t > 0 else psis[c]
+        return math.log(numerator) - math.log(class_sizes[c] + q - 1 + psis[c])
+
+    def group_term(c, v, q):  # the q co-assigned items' share of the joint score
+        return q * log_factor(c, v, q) if q else 0.0
+
+    labels = []
+    for v in values:
+        scores = [log_factor(c, v, 1) for c in range(k)]
+        labels.append(scores.index(max(scores)))
+    size = Counter(zip(labels, values))
+    sweeps, converged = 0, False
+    while sweeps < max_sweeps and not converged:
+        sweeps += 1
+        converged = True
+        for i, v in enumerate(values):
+            a = labels[i]
+            q_a = size[a, v]
+            leave = group_term(a, v, q_a - 1) - group_term(a, v, q_a)
+            best, best_delta = a, 0.0
+            for c in range(k):
+                if c != a:
+                    delta = leave + group_term(c, v, size[c, v] + 1) - group_term(c, v, size[c, v])
+                    if delta > best_delta:
+                        best, best_delta = c, delta
+            if best_delta > eps:
+                size[a, v] -= 1
+                size[best, v] += 1
+                labels[i] = best
+                converged = False
+    per_item_log = [log_factor(c, v, size[c, v]) for c, v in zip(labels, values)]
+    return labels, sweeps, converged, per_item_log

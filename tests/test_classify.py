@@ -1,6 +1,7 @@
 """Tests for the marginal and simultaneous predictive classifiers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from pdinfer import (
     train_from_counts,
 )
 
+from oracles import greedy_joint_labeling
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -31,6 +34,29 @@ def hand_model():
     return train_from_counts(
         [SpeciesCounts([0, 1], [2, 1]), SpeciesCounts([0, 1, 2], [1, 1, 3])]
     )
+
+
+@pytest.fixture
+def moving_case():
+    # the greedy search moves items in its first sweep and stops after the second
+    model = train(*sample_labeled_dataset([2.0, 20.0], 200, 22))
+    return model, sample_sequence(UrnConfig(8.0, 300, 23)).values
+
+
+def _assert_matches_plain_greedy(model, values, max_sweeps=100):
+    labels, sweeps, converged, per_item_log = greedy_joint_labeling(
+        [dict(zip(cm.value_counts.ids.tolist(), cm.value_counts.counts.tolist()))
+         for cm in model.classes],
+        [cm.m_c for cm in model.classes],
+        [cm.psi_hat.psi_hat for cm in model.classes],
+        np.asarray(values).tolist(),
+        max_sweeps,
+    )
+    result = classify_simultaneous(model, values)
+    assert result.labeling.tolist() == labels
+    assert (result.sweeps, result.converged) == (sweeps, converged)
+    np.testing.assert_allclose(result.per_item_log, per_item_log, rtol=0, atol=1e-12)
+    return result
 
 
 class TestTrain:
@@ -269,9 +295,8 @@ class TestClassifySimultaneous:
         assert result.labeling.shape == (3,)
         assert result.labeling[0] == 0  # seen only in the degenerate class
 
-    def test_sweep_cap_reports_not_converged(self, monkeypatch):
-        model = train(*sample_labeled_dataset([2.0, 20.0], 200, 22))
-        values = sample_sequence(UrnConfig(8.0, 300, 23)).values
+    def test_sweep_cap_reports_not_converged(self, monkeypatch, moving_case):
+        model, values = moving_case
         free = classify_simultaneous(model, values)
         # the first sweep moved items away from the marginal labeling
         assert free.converged and free.sweeps == 2
@@ -287,3 +312,69 @@ class TestClassifySimultaneous:
         monkeypatch.setattr(classify_module, "_MAX_SWEEPS", 1)
         capped = classify_simultaneous(model, values)
         assert capped.sweeps == 1 and not capped.converged
+
+    def test_marginal_start_left_unchanged(self, monkeypatch, moving_case):
+        # callers that observe classify_marginal (such as a tracer) compare
+        # the labeling it returned with the final one
+        model, values = moving_case
+        returned = []
+        original = classify_module.classify_marginal
+
+        def spy(*args, **kwargs):
+            result = original(*args, **kwargs)
+            returned.append((result.labeling, result.labeling.copy()))
+            return result
+
+        monkeypatch.setattr(classify_module, "classify_marginal", spy)
+        joint = classify_simultaneous(model, values)
+        [(start, snapshot)] = returned
+        assert (joint.labeling != snapshot).any()
+        assert np.array_equal(start, snapshot)
+
+    def test_memory_linear_in_classes(self):
+        # the move screen holds a few (value x class) arrays, never one per
+        # pair of classes
+        k, n_values = 300, 200
+        model = train_from_counts([SpeciesCounts([c, c + 1, c + 2], [3, 2, 1]) for c in range(k)])
+        values = np.arange(n_values)
+        tracemalloc.start()
+        try:
+            result = classify_simultaneous(model, values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.sweeps == 1 and result.converged
+        assert peak < 32 * n_values * k * 8
+
+
+class TestMatchesPlainGreedy:
+    def test_no_value_movable(self, monkeypatch, hand_model):
+        def no_sweeps(*args):
+            raise AssertionError("no item can move, so nothing is swept")
+
+        monkeypatch.setattr(classify_module, "_greedy_sweeps", no_sweeps)
+        result = _assert_matches_plain_greedy(hand_model, [0, 1, 2, 99, 2, 0])
+        assert result.sweeps == 1 and result.converged
+
+    def test_two_sweeps(self, moving_case):
+        result = _assert_matches_plain_greedy(*moving_case)
+        assert result.sweeps == 2
+
+    def test_three_sweeps(self):
+        model = train_from_counts(
+            [
+                SpeciesCounts([2, 3, 5, 6], [1, 1, 1, 2]),
+                SpeciesCounts([1, 3], [1, 5]),
+                SpeciesCounts([0, 4, 5], [2, 5, 3]),
+            ]
+        )
+        values = [2, 2, 2, 8, 2, 6]
+        result = _assert_matches_plain_greedy(model, values)
+        assert result.sweeps == 3 and result.converged
+        assert classify_marginal(model, values).labeling.tolist() == [2, 2, 2, 0, 2, 0]
+        assert result.labeling.tolist() == [0] * 6
+
+    def test_sweep_cap(self, monkeypatch, moving_case):
+        monkeypatch.setattr(classify_module, "_MAX_SWEEPS", 1)
+        result = _assert_matches_plain_greedy(*moving_case, max_sweeps=1)
+        assert result.sweeps == 1 and not result.converged

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,12 @@ from pdinfer import (
     partition_of,
     predictive_prob,
 )
-from pdinfer.core import _DIRECT_LOG_SUM_LIMIT, _DIRECT_SUM_LIMIT, _log_rising_factorial
+from pdinfer.core import (
+    _BINCOUNT_MAX_COUNT,
+    _DIRECT_LOG_SUM_LIMIT,
+    _DIRECT_SUM_LIMIT,
+    _log_rising_factorial,
+)
 
 from oracles import esf_prob_exact, integer_partitions
 
@@ -191,6 +197,33 @@ class TestPartition:
         p = Partition.from_dense([1, 1, 0])
         assert p.n == 3 and p.k_obs == 2
         assert p.to_dense() == (1, 1, 0)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [_BINCOUNT_MAX_COUNT],  # largest count at the limit: bincount
+            [_BINCOUNT_MAX_COUNT, 3, 1, 3],
+            [_BINCOUNT_MAX_COUNT + 1],  # one past it: unique
+            [1, _BINCOUNT_MAX_COUNT + 1, 1, 7, 2, 7, 7],
+            [40_000, 3, 1, 3, 1, 1],
+        ],
+    )
+    def test_both_branches_match_counter(self, counts):
+        rho = tuple(sorted(Counter(counts).items()))
+        partition = partition_of(table(dict(enumerate(counts))))
+        assert partition == Partition(n=sum(counts), rho=rho)
+        assert all(type(x) is int for pair in partition.rho for x in pair)
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(1, 20), st.integers(1, 3 * _BINCOUNT_MAX_COUNT)),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_property_matches_counter(self, counts):
+        rho = tuple(sorted(Counter(counts).items()))
+        assert partition_of(table(dict(enumerate(counts)))) == Partition(n=sum(counts), rho=rho)
 
     @given(
         st.dictionaries(

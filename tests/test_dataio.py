@@ -112,7 +112,7 @@ _HAND_BUILT = [
     ("unlabeled", "0\n  # indented = 3\n1\n", "line 4: expected 1 field(s), got 4"),
     ("labeled", "\n0 1\n   \n\t\n1\t2\n\n", [1, 2]),
     ("labeled", " 0 \t 1\t\n\t2  3 \n", [1, 3]),
-    ("unlabeled", "007\n+5\n1_000\n\u0663\n", [7, 5, 1000, 3]),
+    ("unlabeled", "007\n+5\n1_000\n\u0663\n", "line 4: fields must be integers, got '+5'"),
     ("labeled", "0\x0c1\n", [1]),
     ("labeled", "0\t1\r\n1\t2\r\n", [1, 2]),
     ("labeled", "0\t1\n1\t2", [1, 2]),
@@ -124,6 +124,11 @@ _HAND_BUILT = [
     ("unlabeled", "1" * 20 + "\n", "line 3: ids must be non-negative and below 2^63"),
     ("unlabeled", "", []),
     ("labeled", "\n \n", []),
+    ("unlabeled", "007\n 00\t\n", [7, 0]),
+    ("unlabeled", "1_000\n", "line 3: fields must be integers, got '1_000'"),
+    ("labeled", "0 \u0663\n", "line 3: fields must be integers, got '0 \u0663'"),
+    ("unlabeled", "\uff15\n", "line 3: fields must be integers, got '\uff15'"),
+    ("labeled", "0 -0\n", "line 3: ids must be non-negative and below 2^63"),
 ]
 
 
@@ -136,14 +141,19 @@ def _write_raw(path, kind, body, n_off=0):
 
 @st.composite
 def _bodies(draw, width):
-    """Record bodies in the writer's character set, or (half the time) anywhere near it."""
+    """Record bodies in the writer's character set, or (half the time) anywhere near it.
+
+    The odd fields include strings that ``int()`` reads but the format refuses.
+    """
     odd = draw(st.booleans())
     field = st.integers(0, ID_MAX).map(str)
     if odd:
         field = st.one_of(
             field,
             st.integers(0, 2**64).map(str),
-            st.sampled_from(["007", "+5", "1_000", "\u0663", "-3", "x", "1.0"]),
+            st.sampled_from(
+                ["007", "+5", "1_000", "\u0663", "\uff15", "-3", "-0", "x", "1.0"]
+            ),
         )
     separators = [" ", "\t", " \t "] + (["\x0c"] if odd else [])
     extra = ["", "   ", "\t"] + (["# later = 2", "  # indented = 3", "#", "\x0c"] if odd else [])
