@@ -1,6 +1,7 @@
 """Predictive supervised classification under partition exchangeability.
 
-Two classifiers share one training summary and one predictive factor. The
+Two classifiers share one training summary and one predictive factor,
+:func:`pdinfer.core._log_factor`, which also gives :func:`predictive_prob`. The
 marginal classifier scores each test item independently with its
 class-conditional predictive probability and takes the best class. The
 simultaneous classifier scores a whole labeling jointly: a test item's
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpeciesCounts, _as_ids, partition_of
+from .core import SpeciesCounts, _as_ids, _log_factor, partition_of
 from .estimation import PsiEstimate, fit_psi
 
 __all__ = [
@@ -150,19 +151,6 @@ def train_from_counts(per_class_counts: Sequence[SpeciesCounts]) -> TrainingMode
 def train(labels: np.ndarray, values: np.ndarray) -> TrainingModel:
     """Build a training model from parallel class-id and species-id arrays."""
     return train_from_counts(counts_by_class(labels, values))
-
-
-def _log_factor(train_count, q, m_c, psi) -> np.ndarray:
-    """Log predictive factor of one of ``q`` co-assigned test items sharing a value.
-
-    ``train_count`` is the value's count in the class's training data, ``m_c``
-    and ``psi`` are the class's size and dispersal; the arguments broadcast.
-    The item's ``q - 1`` twins join the numerator only for a value seen in
-    training (an unseen value keeps ``psi`` there) and always join the
-    denominator. ``q = 1`` is the marginal predictive probability.
-    """
-    numerator = np.where(train_count > 0, train_count + q - 1, psi)
-    return np.log(numerator) - np.log(m_c + q - 1 + psi)
 
 
 def _score_inputs(

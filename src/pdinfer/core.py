@@ -1,14 +1,13 @@
 """Core types and densities for the one-parameter Poisson-Dirichlet model.
 
-A sample of discrete observations is summarized by its abundance partition:
-``rho_t`` counts how many distinct species were observed exactly ``t`` times.
-Everything downstream (the Ewens sampling formula, maximum likelihood, the
-predictive probabilities of the urn scheme) depends on the data only through
-that partition, so this module owns the two data containers, the two
-probability functions and the sums over ``psi + j`` that every other module
-builds on: the rising factorial, :func:`expected_distinct` (whose root is the
-MLE) and :func:`fisher_information`, each summed directly up to a size limit
-and in closed form beyond it.
+A sample is summarized by its abundance partition: ``rho_t`` species were
+observed exactly ``t`` times. Its Ewens likelihood of ``psi`` depends only on
+``(n, k)``, the sample size and the number of distinct species. This module
+owns the two data containers and the one home of each formula: the log rising
+factorial, :func:`_distinct_and_slope` (the only sum over ``psi + j``, giving
+``E[K_n]`` and ``Var[K_n]`` to the fit and both tests) and the predictive
+factor :func:`_log_factor`. Sums run directly up to a size limit and in
+closed form beyond it.
 
 Species identifiers are opaque non-negative integers assigned by ingestion
 code in order of first appearance; no numeric result may depend on their
@@ -293,9 +292,31 @@ def _trigamma_tail(z: float) -> float:
     return 1 / (2 * z**2) + 1 / (6 * z**3) - 1 / (30 * z**5) + 1 / (42 * z**7)
 
 
-def _digamma_gap(psi: float, n: int) -> float:
-    """``digamma(psi + n) - digamma(psi)`` without cancellation when ``psi >> n``."""
-    return math.log1p(n / psi) + _digamma_tail(psi + n) - _digamma_tail(psi)
+def _distinct_and_slope(psi: float, n: int) -> tuple[float, float]:
+    """Mean ``E = sum_j s_j`` and variance ``V = sum_j s_j j / (psi + j)`` of ``K_n``.
+
+    Sums over ``0 <= j < n`` with ``s_j = psi / (psi + j)``; ``V`` is also
+    ``dE / dlog psi`` and ``psi^2`` times the Fisher information. Each factor
+    of a direct term is at most 1, so no finite ``psi > 0`` overflows it.
+    """
+    if n <= _DIRECT_SUM_LIMIT:
+        j = np.arange(n, dtype=np.float64)
+        total = psi + j
+        share = psi / total
+        j /= total
+        j *= share
+        return float(share.sum()), float(j.sum())
+    if psi >= _SERIES_PSI:
+        # digamma(psi + n) - digamma(psi), without cancellation when psi >> n
+        gap = math.log1p(n / psi) + _digamma_tail(psi + n) - _digamma_tail(psi)
+        drop = n / (psi + n) + psi * (_trigamma_tail(psi) - _trigamma_tail(psi + n))
+        return psi * gap, psi * (gap - drop)
+    # the j = 0 terms (1 each) stand apart: in V they cancel exactly, and left
+    # in they swamp V for small psi (2.8e-8 relative error at psi = 1e-10,
+    # n = 1e6 + 1); in E, digamma(psi) would overflow below psi = 5.6e-309
+    harmonic = float(digamma(psi + n) - digamma(psi + 1))
+    trigamma_gap = float(polygamma(1, psi + 1) - polygamma(1, psi + n))
+    return 1.0 + psi * harmonic, psi * harmonic - psi * psi * trigamma_gap
 
 
 def expected_distinct(psi: float, n: int) -> float:
@@ -308,31 +329,14 @@ def expected_distinct(psi: float, n: int) -> float:
     n = int(n)
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
-    if n <= _DIRECT_SUM_LIMIT:
-        return float((psi / (psi + np.arange(n, dtype=np.float64))).sum())
-    if psi >= _SERIES_PSI:
-        return psi * _digamma_gap(psi, n)
-    return float(psi * (digamma(psi + n) - digamma(psi)))
-
-
-def _distinct_and_slope(psi: float, n: int) -> tuple[float, float]:
-    """Bit-identical :func:`expected_distinct` and its log-psi slope, psi^2 fisher_information."""
-    if n <= _DIRECT_SUM_LIMIT:
-        j = np.arange(n, dtype=np.float64)
-        share = psi / (psi + j)
-        slope = share * share  # psi j / (psi + j)^2 = share^2 j / psi
-        slope *= j
-        return float(share.sum()), float(slope.sum()) / psi
-    return expected_distinct(psi, n), psi * psi * fisher_information(psi, n)
+    return _distinct_and_slope(psi, n)[0]
 
 
 def fisher_information(psi0: float, n: int) -> float:
-    """Fisher information ``sum_i (1/(psi0 (psi0+i-1)) - 1/(psi0+i-1)^2)``.
+    """Fisher information ``sum_i (i-1) / (psi0 (psi0+i-1)^2)`` of a sample of size ``n``.
 
-    Computed from the equivalent all-positive form
-    ``sum_i (i-1) / (psi0 (psi0+i-1)^2)``, which avoids cancellation.
-    Strictly positive for ``n >= 2``; a single observation carries no
-    information about ``psi``.
+    Equals ``Var[K_n] / psi0^2``. Strictly positive for ``n >= 2``; a single
+    observation carries no information about ``psi``.
     """
     psi0 = _check_psi(psi0)
     n = int(n)
@@ -340,16 +344,8 @@ def fisher_information(psi0: float, n: int) -> float:
         raise ValueError(f"sample size must be at least 1, got {n}")
     if n == 1:
         raise ValueError("information is zero: test undefined for n=1")
-    if n <= _DIRECT_SUM_LIMIT:
-        shifted = psi0 + np.arange(1, n, dtype=np.float64)
-        return float((np.arange(1, n, dtype=np.float64) / (psi0 * shifted**2)).sum())
-    if psi0 >= _SERIES_PSI:
-        drop = n / (psi0 + n) + psi0 * (_trigamma_tail(psi0) - _trigamma_tail(psi0 + n))
-        return (_digamma_gap(psi0, n) - drop) / psi0
-    # the i = 1 terms (1/psi0^2 each) cancel exactly; left in, they swamp the
-    # result for small psi0 (2.8e-8 relative error at psi0 = 1e-10, n = 1e6 + 1)
-    harmonic = float(digamma(psi0 + n) - digamma(psi0 + 1))
-    return harmonic / psi0 - float(polygamma(1, psi0 + 1) - polygamma(1, psi0 + n))
+    # divided twice: psi0 * psi0 underflows to 0 below psi0 = 1e-154
+    return _distinct_and_slope(psi0, n)[1] / psi0 / psi0
 
 
 def esf_log_pmf(rho: Partition, psi: float) -> float:
@@ -374,6 +370,19 @@ def esf_log_pmf(rho: Partition, psi: float) -> float:
     return log_p
 
 
+def _log_factor(train_count, q, m_c, psi) -> np.ndarray:
+    """Log predictive factor of one of ``q`` co-assigned new items sharing a value.
+
+    ``train_count`` is the value's count among the ``m_c`` observations seen
+    so far, drawn with dispersal ``psi``; the arguments broadcast. The item's
+    ``q - 1`` twins join the numerator only for a value already seen (an
+    unseen value keeps ``psi`` there) and always join the denominator.
+    ``q = 1`` is the predictive probability of :func:`predictive_prob`.
+    """
+    numerator = np.where(train_count > 0, train_count + q - 1, psi)
+    return np.log(numerator) - np.log(m_c + q - 1 + psi)
+
+
 def predictive_prob(
     counts: SpeciesCounts, psi: float, species: int | _NewSpecies = NEW
 ) -> float:
@@ -386,4 +395,4 @@ def predictive_prob(
     """
     psi = _check_psi(psi)
     count = 0 if isinstance(species, _NewSpecies) else int(counts.count_of(species))
-    return (count or psi) / (counts.n + psi)
+    return math.exp(_log_factor(count, 1, counts.n, psi))

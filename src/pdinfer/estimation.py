@@ -11,7 +11,8 @@ leave a bracket that shrinks around the root. The boundary cases (a single
 species, or all species distinct) have no interior root; they are reported
 as flagged boundary estimates rather than errors so that downstream
 consumers such as the classifiers can keep operating on degenerate training
-classes. The sum and its slope live in :mod:`pdinfer.core`.
+classes. The fit reads each sample only through ``(n, k)``; the sum and
+its slope (``Var[K_n]``) come from :func:`pdinfer.core._distinct_and_slope`.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ __all__ = [
 ]
 
 # Search bracket and stopping rules. The fit stops after a step in log psi of
-# at most STEP_TOL that predicts a gap within RESIDUAL_TOL per sample. Each
-# decision reads only the sign of the gap, gap / slope, gap * step per sample
-# and the per-sample means, which doubling the sample list leaves exactly.
+# at most STEP_TOL that predicts a gap within _residual_tolerance(k) per
+# sample, or at a step too small to move log psi. Each decision reads only
+# the sign of the gap, gap / slope, gap * step per sample and the per-sample
+# means, which doubling the sample list leaves exactly.
 PSI_MIN = 1e-10
 PSI_MAX = 1e10
 STEP_TOL = 1e-6
@@ -74,6 +76,15 @@ class PsiEstimate:
         return self.status == STATUS_CONVERGED
 
 
+def _residual_tolerance(k: float) -> float:
+    """Largest gap per sample of a converged fit with ``k`` distinct species per sample.
+
+    Past ``k = 2^22`` the float sum ``E[K_n]`` cannot resolve ``RESIDUAL_TOL``:
+    fits over psi in 1e-3..1e8 and n in 1e2..1e11 stop within 8 ulps of ``k``.
+    """
+    return max(RESIDUAL_TOL, 16 * math.ulp(k))
+
+
 def _gap_and_slope(psi: float, k_total: int, sizes: Sequence[int]) -> tuple[float, float]:
     """``sum_s expected_distinct(psi, n_s) - k_total`` and its slope in ``log psi``."""
     pairs = [_distinct_and_slope(psi, n) for n in sizes]
@@ -92,18 +103,19 @@ def _newton(k_total: int, sizes: Sequence[int]) -> tuple[float, int, float]:
     lo, hi = math.log(PSI_MIN), math.log(PSI_MAX)
     guess = max((k - 1.0) / math.log1p(n / k), k * (k - 1.0) / (2.0 * (n - k)))
     u = min(max(math.log(guess), lo), hi)
+    tolerance = len(sizes) * _residual_tolerance(k)
     last = False
     for iterations in range(1, MAX_ITERATIONS + 1):
         psi = math.exp(u)
         gap, slope = _gap_and_slope(psi, k_total, sizes)
-        if gap == 0.0 or last:
+        step = gap / slope
+        if last or u - step == u:
             break
         lo, hi = (u, hi) if gap < 0.0 else (lo, u)
-        step = gap / slope
         if not lo < u - step < hi:
             step = u - 0.5 * (lo + hi)
         # after a Newton step the next gap is at most |gap * step| / 2, to second order
-        last = abs(step) <= STEP_TOL and abs(gap * step) <= len(sizes) * RESIDUAL_TOL
+        last = abs(step) <= STEP_TOL and abs(gap * step) <= tolerance
         u -= step
     return psi, iterations, gap
 

@@ -1,21 +1,22 @@
 """Hypothesis tests for the dispersal parameter.
 
-Two procedures: a Lagrange multiplier (score) test of ``psi = psi0`` for a
-single sample, and a likelihood ratio test of a common ``psi`` across
-several samples. Both statistics are referred to chi-square distributions
-(1 degree of freedom for the score test, ``s - 1`` for the ratio test over
-``s`` samples). The sums behind them (:func:`fisher_information`,
-:func:`expected_distinct`, the Ewens pmf) live in :mod:`pdinfer.core`.
+A Lagrange multiplier (score) test of ``psi = psi0`` for one sample, with
+statistic ``(k - E[K_n])^2 / Var[K_n]`` at ``psi0``, and a likelihood ratio
+test of a common ``psi`` across ``s`` samples, from each sample's ``(n, k)``
+and log rising factorials; chi-square references with 1 and ``s - 1``
+degrees of freedom. Both read a sample only through ``(n, k)``, and the sums
+live in :mod:`pdinfer.core`.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from scipy.special import gammaincc
 
-from .core import Partition, _check_psi, esf_log_pmf, expected_distinct, fisher_information
+from .core import Partition, _check_psi, _distinct_and_slope, _log_rising_factorial
 from .estimation import PsiEstimate, fit_psi, fit_psi_pooled
 
 __all__ = [
@@ -70,18 +71,25 @@ def chi_square_sf(x: float, df: int) -> float:
 def score_U(rho: Partition, psi0: float) -> float:
     """Log-likelihood gradient ``sum_i (rho_i / psi0 - 1 / (psi0 + i - 1))``.
 
-    Algebraically this is ``(k_obs - expected_distinct(psi0, n)) / psi0``,
-    which is how it is evaluated; it vanishes at the MLE.
+    Algebraically this is ``(k_obs - E[K_n]) / psi0``, which is how it is
+    evaluated; it vanishes at the MLE.
     """
     psi0 = _check_psi(psi0)
-    return (rho.k_obs - expected_distinct(psi0, rho.n)) / psi0
+    return (rho.k_obs - _distinct_and_slope(psi0, rho.n)[0]) / psi0
 
 
 def lm_test(rho: Partition, psi0: float) -> TestReport:
-    """Score test of ``H0: psi = psi0`` against a chi-square(1) reference."""
-    u = score_U(rho, psi0)
-    information = fisher_information(psi0, rho.n)
-    statistic = u * u / information
+    """Score test of ``H0: psi = psi0`` against a chi-square(1) reference.
+
+    The statistic ``U^2 / I`` is evaluated as ``(k_obs - E[K_n])^2 / Var[K_n]``
+    at ``psi0``; a sample of size 1 raises ``ValueError``.
+    """
+    psi0 = _check_psi(psi0)
+    if rho.n == 1:
+        raise ValueError("information is zero: test undefined for n=1")
+    distinct, variance = _distinct_and_slope(psi0, rho.n)
+    gap = rho.k_obs - distinct
+    statistic = gap * gap / variance
     return TestReport(
         statistic=statistic,
         df=1,
@@ -115,12 +123,14 @@ def lr_test(samples: Sequence[Partition]) -> TestReport:
             f"degenerate sample: LRT undefined (pooled fit is {pooled.status})"
         )
 
-    unrestricted = sum(
-        esf_log_pmf(p, fit.psi_hat) for p, fit in zip(samples, fits)
-    )
-    restricted = sum(esf_log_pmf(p, pooled.psi_hat) for p in samples)
-    # mathematically >= 0; clip float residue from the two near-equal sums
-    statistic = max(0.0, 2.0 * (unrestricted - restricted))
+    # a log-likelihood depends on psi only through k log psi - log psi^(n); the
+    # sum is >= 0, but a term rounds below 0 when psi_hat_j ~ pooled psi_hat
+    statistic = max(0.0, 2.0 * sum(
+        p.k_obs * math.log(fit.psi_hat / pooled.psi_hat)
+        - _log_rising_factorial(fit.psi_hat, p.n)
+        + _log_rising_factorial(pooled.psi_hat, p.n)
+        for p, fit in zip(samples, fits)
+    ))
     df = s - 1
     return TestReport(
         statistic=statistic,

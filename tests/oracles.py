@@ -1,12 +1,15 @@
 """Brute-force oracles, kept independent of the library implementation.
 
 Expected values in the test suite are computed here by enumeration or exact
-rational arithmetic, never by the code paths under test.
+rational arithmetic, or from whole partitions where the library works from
+``(n, k)`` alone, never by the code paths under test.
 """
 
 import math
 from collections import Counter
 from fractions import Fraction
+
+from pdinfer import esf_log_pmf
 
 
 def integer_partitions(n):
@@ -41,6 +44,18 @@ def expected_distinct_exact(psi: Fraction, n: int) -> Fraction:
     """Exact rational expected number of distinct species."""
     psi = Fraction(psi)
     return sum(psi / (psi + j) for j in range(n))
+
+
+def lr_statistic_from_partitions(samples, per_sample_psi, pooled_psi):
+    """Likelihood ratio statistic ``2 sum_j [log p(rho_j | psi_j) - log p(rho_j | psi_0)]``.
+
+    Sums whole Ewens log-probabilities of each partition ``rho_j`` at its own
+    estimate ``psi_j`` and at the pooled one ``psi_0``, clipped at 0 like the
+    library's statistic.
+    """
+    unrestricted = sum(esf_log_pmf(p, psi) for p, psi in zip(samples, per_sample_psi))
+    restricted = sum(esf_log_pmf(p, pooled_psi) for p in samples)
+    return max(0.0, 2.0 * (unrestricted - restricted))
 
 
 def greedy_joint_labeling(train_counts, class_sizes, psis, values, max_sweeps=100, eps=1e-12):

@@ -196,6 +196,14 @@ class TestTest:
         assert code == EXIT_OK
         assert parse_kv(stdout)["method"]
 
+    def test_lm_at_huge_psi0(self, aab_file, capsys):
+        # the information psi0 (psi0 + j)^2 overflowed past psi0 = 1e102
+        code, stdout, _ = run(
+            capsys, "test", "--mode", "lm", "--psi0", "1e200", "--input", str(aab_file)
+        )
+        assert code == EXIT_OK
+        assert 0.0 <= float(parse_kv(stdout)["p_value"]) <= 1.0
+
     def test_lm_requires_psi0(self, aab_file, capsys):
         code, _, stderr = run(capsys, "test", "--mode", "lm", "--input", str(aab_file))
         assert code == EXIT_USAGE

@@ -340,6 +340,15 @@ class TestSumPaths:
                 np.testing.assert_allclose(fisher_information(psi, n), direct, rtol=1e-9)
 
 
+    @pytest.mark.parametrize("psi", [5e-324, 1e-310, 1e-200])
+    def test_closed_forms_below_digamma_overflow(self, psi):
+        # digamma(psi) is -inf below psi = 5.6e-309; E = 1 + psi H and
+        # I = H / psi with H = sum_{j=1..n-1} 1/j = 15.08 at this n
+        n = _DIRECT_SUM_LIMIT + 1
+        harmonic = math.fsum(1.0 / j for j in range(1, n))
+        assert expected_distinct(psi, n) == 1.0 + psi * harmonic
+        assert fisher_information(psi, n) == pytest.approx(harmonic / psi, rel=1e-12)
+
     @pytest.mark.parametrize("psi", [1e8, 1e10])
     def test_log_rising_factorial_at_large_psi(self, psi):
         # the log-gamma difference cancels here (1.8e-5 off at psi = 1e10)

@@ -25,7 +25,7 @@ from pdinfer import (
 )
 from pdinfer import estimation
 from pdinfer.core import _DIRECT_SUM_LIMIT, _distinct_and_slope
-from pdinfer.estimation import RESIDUAL_TOL
+from pdinfer.estimation import RESIDUAL_TOL, _residual_tolerance
 
 from oracles import expected_distinct_exact
 
@@ -110,16 +110,21 @@ class TestFitPsi:
             fit = fit_psi(rho)
             assert abs(score_U(rho, fit.psi_hat)) <= 1e-6
 
-    @pytest.mark.parametrize("psi", [1e-3, 1.0, 10.0, 1e3, 1e6, 1e8])
-    @pytest.mark.parametrize("n", [3, 50, 1000, 10**5, _DIRECT_SUM_LIMIT + 1, 3 * 10**6])
+    @pytest.mark.parametrize("psi", [1e-3, 1.0, 10.0, 1e3, 1e6, 1e7, 1e8])
+    @pytest.mark.parametrize(
+        "n", [3, 50, 1000, 10**5, _DIRECT_SUM_LIMIT + 1, 3 * 10**6, 10**8, 10**9, 10**11]
+    )
     def test_grid_residual_and_iterations(self, psi, n):
         # k near E[K_n] at psi, as a partition with k - 1 singletons and one
-        # abundant species; n past the direct-sum limit runs the closed forms
+        # abundant species; n past the direct-sum limit runs the closed forms,
+        # k past 2^22 (from n = 1e8 at psi = 1e7) the tolerance in ulps of k,
+        # and n = 1e11 at psi = 1e7 a Newton step below one ulp of log psi
         k = min(max(round(expected_distinct(psi, n)), 2), n - 1)
         rho = Partition(n=n, rho=((1, k - 1), (n - k + 1, 1)))
         fit = fit_psi(rho)
         assert fit.converged
-        assert fit.residual <= RESIDUAL_TOL
+        assert fit.residual <= _residual_tolerance(k)
+        assert _residual_tolerance(k) == RESIDUAL_TOL or k > 2**22
         assert fit.iterations <= 10
         assert fit.residual == abs(expected_distinct(fit.psi_hat, n) - k)
         assert fit_psi_pooled([rho, rho]).psi_hat == fit.psi_hat

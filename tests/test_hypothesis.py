@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pdinfer import (
     DegenerateSampleError,
@@ -19,6 +21,8 @@ from pdinfer import (
     sample_sequence,
     score_U,
 )
+
+from oracles import lr_statistic_from_partitions
 
 
 class TestScoreU:
@@ -57,6 +61,42 @@ class TestFisherInformation:
         for psi in (0.01, 1.0, 50.0, 1e4):
             for n in (2, 3, 17, 500):
                 assert fisher_information(psi, n) > 0.0
+
+
+EXTREME_PSI0 = [5e-324, 1e-200, 1e-160, 1e103, 1e200, 1.7e308]
+
+
+class TestExtremePsi0:
+    """The score test and the information at psi0 near the ends of the doubles.
+
+    Warnings are errors in this suite, so an overflow or underflow warning
+    fails these tests as well as a wrong value does.
+    """
+
+    SAMPLES = [
+        Partition.from_dense([1, 1, 0]),
+        Partition.from_dense([3]),
+        Partition.from_dense([0, 0, 0, 1]),
+        Partition(n=500, rho=((1, 40), (2, 30), (400, 1))),
+    ]
+
+    @pytest.mark.parametrize("psi0", EXTREME_PSI0)
+    def test_lm_p_value_in_unit_interval(self, psi0):
+        for rho in self.SAMPLES:
+            report = lm_test(rho, psi0)
+            assert report.statistic >= 0.0
+            assert 0.0 <= report.p_value <= 1.0
+
+    @pytest.mark.parametrize("psi0", EXTREME_PSI0)
+    def test_information_defined(self, psi0):
+        for n in (2, 5, 500):
+            assert fisher_information(psi0, n) >= 0.0
+
+    def test_information_below_psi0_squared_underflow(self):
+        # sum_{j=1..4} 1/j / psi0, with psi0^2 = 1e-320 a subnormal
+        np.testing.assert_allclose(
+            fisher_information(1e-160, 5), 25 / 12 * 1e160, rtol=1e-12
+        )
 
 
 class TestChiSquareSf:
@@ -162,6 +202,26 @@ class TestLrTest:
         rho = Partition.from_dense([1, 1, 0])
         with pytest.raises(ValueError):
             lr_test([rho])
+
+    @settings(max_examples=60)
+    @given(
+        psis=st.tuples(st.floats(0.5, 200.0), st.floats(0.5, 200.0)),
+        sizes=st.tuples(st.integers(20, 3000), st.integers(20, 3000)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_partition_oracle(self, psis, sizes, seed):
+        # The oracle differences log-likelihoods of up to ~2e4 in size, whose
+        # rounding (ulp 3.6e-12, over ~1e3 summed terms) sets the bounds.
+        samples = [
+            partition_of(sample_sequence(UrnConfig(psi, n, s)).counts)
+            for psi, n, s in zip(psis, sizes, derive_seeds(seed, 2))
+        ]
+        assume(all(fit_psi(p).converged for p in samples))
+        report = lr_test(samples)
+        expected = lr_statistic_from_partitions(
+            samples, [f.psi_hat for f in report.per_sample_psi], report.pooled_psi.psi_hat
+        )
+        np.testing.assert_allclose(report.statistic, expected, rtol=1e-10, atol=1e-8)
 
     def test_separated_parameters_detected(self):
         seeds = derive_seeds(38, 2)
