@@ -6,8 +6,8 @@ observed exactly ``t`` times. Its Ewens likelihood of ``psi`` depends only on
 owns the two data containers and the one home of each formula: the log rising
 factorial, :func:`_distinct_and_slope` (the only sum over ``psi + j``, giving
 ``E[K_n]`` and ``Var[K_n]`` to the fit and both tests) and the predictive
-factor :func:`_log_factor`. Sums run directly up to a size limit and in
-closed form beyond it.
+factor :func:`_log_factor`. Each sum adds its first 50 terms directly and the
+rest by asymptotic series, so it takes O(1) time and memory at any size.
 
 Species identifiers are opaque non-negative integers assigned by ingestion
 code in order of first appearance; no numeric result may depend on their
@@ -21,11 +21,11 @@ so everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma, polygamma
 
 __all__ = [
     "NEW",
@@ -38,14 +38,15 @@ __all__ = [
     "predictive_prob",
 ]
 
-# Largest sizes summed directly (the sums allocate O(n) temporaries); beyond
-# them the log rising factorial takes log-gamma and the other two sums take
-# digamma/trigamma forms. These agree with the sums within the bounds of
-# tests/test_core.py but not bit for bit, so the limits fix outputs: a log-sum
-# limit of 1e6 changes the benchmark's `files` test_lrt digest at seed 2, a
-# sum limit of 1e5 its mle and mle_remapped digests at seeds 1 and 2.
-_DIRECT_LOG_SUM_LIMIT = 100_000
-_DIRECT_SUM_LIMIT = 1_000_000
+# The Ewens sums add their first _HEAD terms directly and the rest by Stirling's
+# series for log-gamma and its first two derivatives, from psi + _HEAD on. Against
+# 90-digit values for psi in [1e-10, 1e15] and n up to 1e11, E[K_n] and the log rising
+# factorial are within 3.3e-16 relative, Var[K_n] within 2.4e-14 where n >= 1e-2 psi.
+_HEAD = 50
+
+# Where n <= _POWER_SUM_RATIO * psi, Var[K_n] comes from power sums (within 2.3e-16):
+# the series difference cancels to about psi / n ulps (8.4e-13 at n = 1e-4 psi).
+_POWER_SUM_RATIO = 1e-4
 
 # ids are stored as int64
 _ID_LIMIT = 2**63
@@ -56,18 +57,6 @@ _ID_LIMIT = 2**63
 # counts (numpy 2.4, timings in CHANGES.md). A sample of n <= 4096 always
 # bins, without a pass for its largest count.
 _BINCOUNT_MAX_COUNT = 4096
-
-# From this psi up, the three sums beyond their limits use the asymptotic
-# series of log-gamma, digamma and trigamma, with the leading log as
-# log1p(n / psi): the log-gamma, digamma and trigamma differences cancel when
-# psi >> n (at n = 1e6 + 1 and psi = 1e10, the digamma form of E[K_n] is
-# 3.2e-5 off, against 9e-11 for the series; at n = 1e5 + 1 and psi = 1e10,
-# the log-gamma form of the log rising factorial is 1.8e-5 off, against
-# 2e-11). Against 50-digit values at n = 1e6 + 1, 3e6 and 1e8,
-# the series is the worse form below psi = 50 (at psi = 10: 4e-10 against
-# 2e-15), both are at rounding level from 50 to 1e4, and the scipy forms drift
-# from there on (at 1e4: 1.9e-11 against 4e-12).
-_SERIES_PSI = 1_000.0
 
 
 class _NewSpecies:
@@ -204,10 +193,14 @@ class Partition:
     rho: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        n = int(self.n)
+        try:
+            # like a species id, a float is refused instead of truncated
+            n = operator.index(self.n)
+            pairs = tuple((operator.index(t), operator.index(m)) for t, m in self.rho)
+        except TypeError:
+            raise ValueError("sample size and abundance entries must be integers") from None
         if n < 1:
             raise ValueError(f"sample size must be at least 1, got {n}")
-        pairs = tuple((int(t), int(m)) for t, m in self.rho)
         previous_t = 0
         mass = 0
         for t, m in pairs:
@@ -229,11 +222,8 @@ class Partition:
     @classmethod
     def from_dense(cls, rho: Iterable[int]) -> "Partition":
         """Build from a dense ``(rho_1, rho_2, ...)`` vector; trailing zeros ok."""
-        pairs = tuple(
-            (t, int(m)) for t, m in enumerate(rho, start=1) if int(m) != 0
-        )
-        n = sum(t * m for t, m in pairs)
-        return cls(n=n, rho=pairs)
+        pairs = tuple((t, m) for t, m in enumerate(rho, start=1) if m != 0)
+        return cls(n=sum(t * m for t, m in pairs), rho=pairs)
 
     def to_dense(self) -> tuple[int, ...]:
         """Dense ``(rho_1, ..., rho_n)`` vector; intended for small ``n``."""
@@ -266,57 +256,61 @@ def partition_of(counts: SpeciesCounts) -> Partition:
 
 
 def _log_rising_factorial(psi: float, n: int) -> float:
-    """log of psi * (psi + 1) * ... * (psi + n - 1)."""
-    if n <= _DIRECT_LOG_SUM_LIMIT:
-        return float(np.log(psi + np.arange(n, dtype=np.float64)).sum())
-    if psi >= _SERIES_PSI:
-        return (
-            (psi - 0.5) * math.log1p(n / psi) + n * math.log(psi + n) - n
-            + _lgamma_tail(psi + n) - _lgamma_tail(psi)
-        )
-    return math.lgamma(psi + n) - math.lgamma(psi)
+    """log of psi * (psi + 1) * ... * (psi + n - 1), in O(1) time and memory."""
+    log_head = float(np.log(psi + np.arange(min(n, _HEAD), dtype=np.float64)).sum())
+    if n <= _HEAD:
+        return log_head
+    # lgamma(z1) - lgamma(z0), the leading log as log1p
+    m, z0, z1 = n - _HEAD, psi + _HEAD, psi + n
+    tails = _stirling_tails(z1)[0] - _stirling_tails(z0)[0]
+    return log_head + (z0 - 0.5) * math.log1p(m / z0) + m * math.log(z1) - m + tails
 
 
-def _lgamma_tail(z: float) -> float:
-    """``lgamma(z) - (z - 1/2) log z + z - log(2 pi) / 2`` by its asymptotic series."""
-    return 1 / (12 * z) - 1 / (360 * z**3) + 1 / (1260 * z**5)
+def _stirling_tails(z: float) -> tuple[float, float, float]:
+    """Stirling's series, at ``z >= 50``, past the leading terms of log-gamma and its derivatives.
 
-
-def _digamma_tail(z: float) -> float:
-    """``digamma(z) - log(z)`` by its asymptotic series; rounding-level for ``z >= 50``."""
-    return -1 / (2 * z) - 1 / (12 * z**2) + 1 / (120 * z**4) - 1 / (252 * z**6)
-
-
-def _trigamma_tail(z: float) -> float:
-    """``trigamma(z) - 1/z`` by its asymptotic series; rounding-level for ``z >= 50``."""
-    return 1 / (2 * z**2) + 1 / (6 * z**3) - 1 / (30 * z**5) + 1 / (42 * z**7)
+    That is ``lgamma(z) - (z - 1/2) log z + z - log(2 pi) / 2``, ``lgamma'(z) - log z`` and
+    ``lgamma''(z) - 1/z``, in ``w = 1/z^2`` by Horner's rule so that no power of ``z`` overflows.
+    """
+    w = 1 / z / z
+    return (
+        (1 / 12 - w * (1 / 360 - w / 1260)) / z,
+        -0.5 / z - w * (1 / 12 - w * (1 / 120 - w / 252)),
+        w * (0.5 + (1 / 6 - w * (1 / 30 - w / 42)) / z),
+    )
 
 
 def _distinct_and_slope(psi: float, n: int) -> tuple[float, float]:
     """Mean ``E = sum_j s_j`` and variance ``V = sum_j s_j j / (psi + j)`` of ``K_n``.
 
     Sums over ``0 <= j < n`` with ``s_j = psi / (psi + j)``; ``V`` is also
-    ``dE / dlog psi`` and ``psi^2`` times the Fisher information. Each factor
-    of a direct term is at most 1, so no finite ``psi > 0`` overflows it.
+    ``dE / dlog psi`` and ``psi^2`` times the Fisher information. The first
+    ``_HEAD`` terms are summed directly (each factor is at most 1, so no
+    finite ``psi > 0`` overflows one), the rest in O(1) by series.
     """
-    if n <= _DIRECT_SUM_LIMIT:
-        j = np.arange(n, dtype=np.float64)
-        total = psi + j
-        share = psi / total
-        j /= total
-        j *= share
-        return float(share.sum()), float(j.sum())
-    if psi >= _SERIES_PSI:
-        # digamma(psi + n) - digamma(psi), without cancellation when psi >> n
-        gap = math.log1p(n / psi) + _digamma_tail(psi + n) - _digamma_tail(psi)
-        drop = n / (psi + n) + psi * (_trigamma_tail(psi) - _trigamma_tail(psi + n))
-        return psi * gap, psi * (gap - drop)
-    # the j = 0 terms (1 each) stand apart: in V they cancel exactly, and left
-    # in they swamp V for small psi (2.8e-8 relative error at psi = 1e-10,
-    # n = 1e6 + 1); in E, digamma(psi) would overflow below psi = 5.6e-309
-    harmonic = float(digamma(psi + n) - digamma(psi + 1))
-    trigamma_gap = float(polygamma(1, psi + 1) - polygamma(1, psi + n))
-    return 1.0 + psi * harmonic, psi * harmonic - psi * psi * trigamma_gap
+    j = np.arange(min(n, _HEAD), dtype=np.float64)
+    total = psi + j
+    share = psi / total
+    j /= total
+    j *= share
+    distinct, variance = float(share.sum()), float(j.sum())
+    if n <= _HEAD:
+        return distinct, variance
+    # gap = sum of 1 / (psi + j) over _HEAD <= j < n, without cancellation when psi >> n
+    m, z0, z1 = n - _HEAD, psi + _HEAD, psi + n
+    _, d0, t0 = _stirling_tails(z0)
+    _, d1, t1 = _stirling_tails(z1)
+    gap = math.log1p(m / z0) + d1 - d0
+    distinct += psi * gap
+    if n > _POWER_SUM_RATIO * psi:
+        return distinct, variance + psi * (gap - psi * (m / z0 / z1 + t0 - t1))
+    # V = sum_j x j / (1 + x j)^2 = x S1 - 2 x^2 S2 + 3 x^3 S3 - 4 x^4 S4 + ... with
+    # x = 1 / psi and S_p = sum_j j^p, in x S1 by S2 / S1 = (2n - 1) / 3, S3 = S1^2 and
+    # S4 / S1 = (2n - 1) (3n (n - 1) - 1) / 15, so that no power of n overflows
+    x = 1 / psi
+    s1 = x * n * (n - 1) / 2
+    d = x * (2 * n - 1)
+    return distinct, s1 * (1 - 2 * d / 3 + 3 * x * s1 - 4 * d * (6 * x * s1 - x * x) / 15)
 
 
 def expected_distinct(psi: float, n: int) -> float:

@@ -20,12 +20,7 @@ from pdinfer import (
     partition_of,
     predictive_prob,
 )
-from pdinfer.core import (
-    _BINCOUNT_MAX_COUNT,
-    _DIRECT_LOG_SUM_LIMIT,
-    _DIRECT_SUM_LIMIT,
-    _log_rising_factorial,
-)
+from pdinfer.core import _BINCOUNT_MAX_COUNT, _distinct_and_slope, _log_rising_factorial
 
 from oracles import esf_prob_exact, integer_partitions
 
@@ -40,6 +35,13 @@ def partition_from_dict(rho: dict) -> Partition:
         n=sum(t * m for t, m in rho.items()),
         rho=tuple(sorted(rho.items())),
     )
+
+
+def chunked_fsum(term, n: int) -> float:
+    """Correctly rounded sum of ``term(j)`` over ``0 <= j < n``, chunk by chunk."""
+    chunks = (np.arange(start, min(start + 100_000, n), dtype=np.float64)
+              for start in range(0, n, 100_000))
+    return math.fsum(x for chunk in chunks for x in term(chunk).tolist())
 
 
 class TestSpeciesCounts:
@@ -193,6 +195,19 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition(n=4, rho=((1, 1), (2, 1)))  # sums to 3, not 4
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Partition(n=2, rho=((1.9, 2),)),
+            lambda: Partition(n=2.7, rho=((1, 2),)),
+            lambda: Partition.from_dense([1.7, 0.2]),
+        ],
+        ids=["float-t", "float-n", "float-dense"],
+    )
+    def test_rejects_floats_instead_of_truncating(self, make):
+        with pytest.raises(ValueError, match="integer"):
+            make()
+
     def test_dense_roundtrip(self):
         p = Partition.from_dense([1, 1, 0])
         assert p.n == 3 and p.k_obs == 2
@@ -297,7 +312,7 @@ class TestEsfLogPmf:
                 esf_log_pmf(p, psi)
 
     def test_large_sample_path(self):
-        # the log-gamma branch must agree with direct summation
+        # the series past the 50-term head must agree with direct summation
         rho = Partition(n=200_000, rho=((1, 100_000), (2, 50_000)))
         got = esf_log_pmf(rho, 7.0)
         direct = (
@@ -312,66 +327,86 @@ class TestEsfLogPmf:
 
 
 class TestSumPaths:
-    """Each Ewens sum at its last directly summed size and the first closed-form one.
+    """Each Ewens sum on both sides of its seams.
 
-    The references are the plain float sums, so the closed forms are pinned
-    to the sums they replace and the direct paths to their own definition.
+    The seams are the last size summed by the 50-term head alone and the
+    first one with the series beyond it (n = 50, 51), and, for Var[K_n], the
+    last size taken from power sums at psi = 1e8 and the first one taken from
+    the series (n = 1e4, 1e4 + 1). The references are the plain float sums.
     """
 
-    PSIS = (0.5, 10.0, 1234.5)
+    PSIS = (1e-10, 0.5, 10.0, 49.5, 1234.5, 1e8)
 
     def test_log_rising_factorial_both_paths(self):
-        for n in (_DIRECT_LOG_SUM_LIMIT, _DIRECT_LOG_SUM_LIMIT + 1):
+        for n in (50, 51, 100_000, 100_001):
             for psi in self.PSIS:
                 direct = np.log(psi + np.arange(n, dtype=np.float64)).sum()
                 np.testing.assert_allclose(_log_rising_factorial(psi, n), direct, rtol=1e-12)
 
     def test_expected_distinct_both_paths(self):
-        for n in (_DIRECT_SUM_LIMIT, _DIRECT_SUM_LIMIT + 1):
+        for n in (50, 51, 10_000, 10_001, 1_000_000, 1_000_001):
             for psi in self.PSIS:
                 direct = (psi / (psi + np.arange(n, dtype=np.float64))).sum()
                 np.testing.assert_allclose(expected_distinct(psi, n), direct, rtol=0, atol=1e-9)
 
     def test_fisher_information_both_paths(self):
-        for n in (_DIRECT_SUM_LIMIT, _DIRECT_SUM_LIMIT + 1):
+        for n in (50, 51, 10_000, 10_001, 1_000_000, 1_000_001):
             i = np.arange(1, n, dtype=np.float64)
             for psi in self.PSIS:
                 direct = (i / (psi * (psi + i) ** 2)).sum()
                 np.testing.assert_allclose(fisher_information(psi, n), direct, rtol=1e-9)
 
-
     @pytest.mark.parametrize("psi", [5e-324, 1e-310, 1e-200])
     def test_closed_forms_below_digamma_overflow(self, psi):
-        # digamma(psi) is -inf below psi = 5.6e-309; E = 1 + psi H and
-        # I = H / psi with H = sum_{j=1..n-1} 1/j = 15.08 at this n
-        n = _DIRECT_SUM_LIMIT + 1
+        # psi near the smallest doubles, where digamma(psi) would be -inf
+        # (below 5.6e-309); E = 1 + psi H and I = H / psi with
+        # H = sum_{j=1..n-1} 1/j = 15.08 at this n
+        n = 1_000_001
         harmonic = math.fsum(1.0 / j for j in range(1, n))
         assert expected_distinct(psi, n) == 1.0 + psi * harmonic
         assert fisher_information(psi, n) == pytest.approx(harmonic / psi, rel=1e-12)
 
     @pytest.mark.parametrize("psi", [1e8, 1e10])
     def test_log_rising_factorial_at_large_psi(self, psi):
-        # the log-gamma difference cancels here (1.8e-5 off at psi = 1e10)
-        n = _DIRECT_LOG_SUM_LIMIT + 1
+        # psi >> n, where a log-gamma difference cancels (1.8e-5 off at psi = 1e10)
+        n = 100_001
         exact = math.fsum(np.log(psi + np.arange(n, dtype=np.float64)).tolist())
         np.testing.assert_allclose(_log_rising_factorial(psi, n), exact, rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("psi", [1e-10, 1e8, 1e10])
+    @pytest.mark.parametrize("psi", [1e62, 1e100])
+    def test_log_rising_factorial_past_power_overflow(self, psi):
+        # z**5 and z**7 of the series would overflow here
+        n = 100_001
+        exact = math.fsum(np.log(psi + np.arange(n, dtype=np.float64)).tolist())
+        np.testing.assert_allclose(_log_rising_factorial(psi, n), exact, rtol=1e-15)
+
+    @pytest.mark.parametrize("psi", [1e-10, 1e8, 1e10, 1e18, 1e30])
     def test_closed_forms_at_bracket_ends(self, psi):
-        # the closed forms at both ends of the psi bracket, where digamma and
-        # trigamma differences cancel (psi >> n) or two 1/psi^2 terms do
-        n = _DIRECT_SUM_LIMIT + 1
-
-        def fsum(term) -> float:
-            # correctly rounded sum of term(j) over 0 <= j < n, chunk by chunk
-            chunks = (np.arange(start, min(start + 100_000, n), dtype=np.float64)
-                      for start in range(0, n, 100_000))
-            return math.fsum(x for chunk in chunks for x in term(chunk).tolist())
-
-        expected = fsum(lambda j: psi / (psi + j))
-        information = fsum(lambda j: j / (psi * (psi + j) ** 2))
+        # the series at both ends of the psi bracket and beyond, where
+        # differences of series terms cancel (psi >> n) or two 1/psi^2 terms do
+        n = 1_000_001
+        expected = chunked_fsum(lambda j: psi / (psi + j), n)
+        information = chunked_fsum(lambda j: j / (psi * (psi + j) ** 2), n)
         np.testing.assert_allclose(expected_distinct(psi, n), expected, rtol=0, atol=1e-9)
         np.testing.assert_allclose(fisher_information(psi, n), information, rtol=1e-11)
+
+    @pytest.mark.parametrize("psi, n", [(1e6, 100), (1e8, 10_000), (1e10, 1_000_000)])
+    def test_variance_power_sums_to_rounding(self, psi, n):
+        # n = 1e-4 psi, the largest ratio taken from power sums, where the
+        # terms they drop (5th order in j / psi) are largest
+        variance = chunked_fsum(lambda j: psi * j / (psi + j) ** 2, n)
+        np.testing.assert_allclose(_distinct_and_slope(psi, n)[1], variance, rtol=1e-15)
+
+    @pytest.mark.parametrize("n", [10**6, 10**15])
+    def test_memory_independent_of_n(self, n):
+        tracemalloc.start()
+        try:
+            _distinct_and_slope(10.0, n)
+            _log_rising_factorial(10.0, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestPredictiveProb:

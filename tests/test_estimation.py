@@ -24,7 +24,7 @@ from pdinfer import (
     score_U,
 )
 from pdinfer import estimation
-from pdinfer.core import _DIRECT_SUM_LIMIT, _distinct_and_slope
+from pdinfer.core import _distinct_and_slope
 from pdinfer.estimation import RESIDUAL_TOL, _residual_tolerance
 
 from oracles import expected_distinct_exact
@@ -61,7 +61,7 @@ class TestExpectedDistinct:
         assert all(1.0 < v < 50.0 for v in values[1:])
 
     @pytest.mark.parametrize("psi", [1e-3, 0.7, 10.0, 1e3, 1e6, 1e8])
-    @pytest.mark.parametrize("n", [1, 2, 50, 4000, _DIRECT_SUM_LIMIT + 1, 3 * 10**6])
+    @pytest.mark.parametrize("n", [1, 2, 50, 4000, 1_000_001, 3 * 10**6])
     def test_slope_helper(self, psi, n):
         # one pass gives E[K_n] bit for bit and its slope in log psi
         distinct, slope = _distinct_and_slope(psi, n)
@@ -112,11 +112,11 @@ class TestFitPsi:
 
     @pytest.mark.parametrize("psi", [1e-3, 1.0, 10.0, 1e3, 1e6, 1e7, 1e8])
     @pytest.mark.parametrize(
-        "n", [3, 50, 1000, 10**5, _DIRECT_SUM_LIMIT + 1, 3 * 10**6, 10**8, 10**9, 10**11]
+        "n", [3, 50, 1000, 10**5, 1_000_001, 3 * 10**6, 10**8, 10**9, 10**11]
     )
     def test_grid_residual_and_iterations(self, psi, n):
         # k near E[K_n] at psi, as a partition with k - 1 singletons and one
-        # abundant species; n past the direct-sum limit runs the closed forms,
+        # abundant species; n past the 50-term head runs the series,
         # k past 2^22 (from n = 1e8 at psi = 1e7) the tolerance in ulps of k,
         # and n = 1e11 at psi = 1e7 a Newton step below one ulp of log psi
         k = min(max(round(expected_distinct(psi, n)), 2), n - 1)

@@ -78,6 +78,7 @@ class TestExtremePsi0:
         Partition.from_dense([3]),
         Partition.from_dense([0, 0, 0, 1]),
         Partition(n=500, rho=((1, 40), (2, 30), (400, 1))),
+        Partition(n=2_000_001, rho=((1, 1_000_001), (2, 500_000))),
     ]
 
     @pytest.mark.parametrize("psi0", EXTREME_PSI0)
