@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpeciesCounts, _as_ids, _log_factor, partition_of
+from .core import SpeciesCounts, _as_ids, _as_int, _log_factor, partition_of
 from .estimation import PsiEstimate, fit_psi
 
 __all__ = [
@@ -115,8 +115,8 @@ class ClassificationResult:
 
 def counts_by_class(labels: np.ndarray, values: np.ndarray) -> list[SpeciesCounts]:
     """Split a labeled dataset into per-class frequency tables."""
-    labels = np.asarray(labels, dtype=np.int64)
-    values = np.asarray(values, dtype=np.int64)
+    labels = _as_ids(labels, "class ids")
+    values = _as_ids(values)
     if labels.shape != values.shape or labels.ndim != 1:
         raise ValueError("labels and values must be 1-d arrays of equal length")
     if labels.size == 0:
@@ -165,15 +165,13 @@ def _score_inputs(
 
 def _class_log_factor(model: TrainingModel, value: int, class_id: int, q: int) -> float:
     """Log factor of one of ``q`` co-assigned test items holding ``value`` in class ``class_id``."""
-    if not 0 <= class_id < model.k:
-        raise ValueError(f"class id {class_id} out of range")
-    cm = model.classes[class_id]
+    cm = model.classes[_as_int(class_id, "class id", 0, model.k)]
     return float(_log_factor(cm.value_counts.count_of(value), q, cm.m_c, cm.psi_hat.psi_hat))
 
 
 def marginal_log_score(model: TrainingModel, item_value: int, class_id: int) -> float:
     """Log predictive probability of one value under one class's training data."""
-    return _class_log_factor(model, item_value, class_id, 1)
+    return _class_log_factor(model, _as_ids(item_value), class_id, 1)
 
 
 def _as_test_values(test_values: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -222,11 +220,10 @@ def simultaneous_log_score(
     on the training data only.
     """
     values = _as_test_values(test_values)
-    labeling = np.asarray(labeling, dtype=np.int64)
+    labeling = _as_ids(labeling, "class ids")
     if labeling.shape != values.shape:
         raise ValueError("labeling and test values must have the same length")
-    if not 0 <= item < values.size:
-        raise ValueError(f"item index {item} out of range")
+    item = _as_int(item, "item index", 0, values.size)
     twins = (values == values[item]) & (labeling == class_id)
     n_icl = int(twins.sum()) - int(twins[item])
     return _class_log_factor(model, values[item], class_id, n_icl + 1)

@@ -18,7 +18,8 @@ true/false/yes/no/1/0.
 
 Exit codes: 0 success (warnings allowed; each degenerate fit adds one
 ``pd-infer: warning: ...`` line on stderr), 1 usage error (including
-``experiment --workers`` below 1 and a study whose estimated memory, which
+``experiment --workers`` below 1, a ``--memory-cap-gb`` whose byte count is
+not finite, from about 1.7e299 up, and a study whose estimated memory, which
 grows with ``--replicates``, exceeds the cap), 2 data/parse error (including
 a dataset with no records, a file that is not UTF-8 and class ids that are
 not contiguous), 3 numeric/degeneracy error or out of memory (one line on
@@ -36,7 +37,7 @@ from pathlib import Path
 
 from . import __version__
 from .classify import classify_marginal, classify_simultaneous, counts_by_class, train_from_counts
-from .core import Partition, SpeciesCounts, _check_psi, partition_of
+from .core import Partition, SpeciesCounts, _as_int, _check_psi, partition_of
 from .dataio import (
     Dataset,
     DatasetFormatError,
@@ -80,6 +81,7 @@ def _arg_type(convert: Callable[[str], object]) -> Callable[[str], object]:
 _psi = _arg_type(lambda text: _check_psi(float(text)))
 _seed = _arg_type(lambda text: _check_seed(int(text)))
 _ints = _arg_type(lambda text: tuple(int(part) for part in text.split(",") if part.strip()))
+_count = _arg_type(lambda text: _as_int(int(text), "value"))
 
 
 @_arg_type
@@ -91,19 +93,11 @@ def _psis(text: str) -> tuple[float, ...]:
 
 
 @_arg_type
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"must be at least 1, got {value}")
-    return value
-
-
-@_arg_type
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"must be finite, got {text!r}")
-    return value
+def _gib_to_bytes(text: str) -> int:
+    cap = float(text) * 2**30
+    if not math.isfinite(cap):
+        raise ValueError(f"must be a finite number of bytes, got {text!r} GiB")
+    return int(cap)
 
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -309,7 +303,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             replicates=args.replicates,
             master_seed=args.seed,
             output_path=Path(args.out),
-            memory_cap_bytes=int(args.memory_cap_gb * 2**30),
+            memory_cap_bytes=args.memory_cap_bytes,
             workers=args.workers,
         )
     except ValueError as exc:
@@ -372,7 +366,8 @@ def build_parser() -> _Parser:
     p_exp.add_argument("--replicates", type=int, default=5)
     p_exp.add_argument("--seed", type=_seed, default=100)
     p_exp.add_argument("--out", required=True, help="output directory")
-    p_exp.add_argument("--memory-cap-gb", type=_finite, default=2.0)
+    p_exp.add_argument("--memory-cap-gb", type=_gib_to_bytes, default="2.0",
+                       dest="memory_cap_bytes")
     p_exp.add_argument("--workers", type=int, default=None,
                        help="parallel replicate workers, at least 1 (default: hardware threads)")
 

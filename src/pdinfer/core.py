@@ -11,7 +11,11 @@ rest by asymptotic series, so it takes O(1) time and memory at any size.
 
 Species identifiers are opaque non-negative integers assigned by ingestion
 code in order of first appearance; no numeric result may depend on their
-values, only on the multiset of frequencies.
+values, only on the multiset of frequencies. This module is the package's one
+integer gate: :func:`_as_integers` and its non-negative form :func:`_as_ids`
+(ids, labels, counts) and :func:`_as_int` (sizes, seeds, class ids, indices,
+degrees of freedom) are the only conversions of a caller's integers. They
+refuse floats, strings and bools rather than truncate, parse or read them as 0/1.
 
 All containers are immutable after construction (the arrays of a
 :class:`SpeciesCounts` are read-only) and all operations are pure functions,
@@ -50,6 +54,7 @@ _POWER_SUM_RATIO = 1e-4
 
 # ids are stored as int64
 _ID_LIMIT = 2**63
+_INT64 = np.dtype(np.int64)
 
 # Above this largest count, partition_of sorts the counts instead of
 # binning them: np.bincount costs about 2.5 us per 1000 of the largest count,
@@ -71,30 +76,59 @@ class _NewSpecies:
 NEW = _NewSpecies()
 
 
-def _as_ids(values: Iterable[int] | np.ndarray) -> np.ndarray:
-    """Species ids as an int64 array; never truncates a float or parses a string.
+def _as_integers(values: int | Iterable[int] | np.ndarray, what: str = "species ids") -> np.ndarray:
+    """A caller's integers (one, an iterable or an array of any integer dtype) as int64.
 
-    Raises:
-        ValueError: on a non-integer or negative id, or one that does not
-            fit int64.
+    Floats, strings, bools and ints outside int64 raise ``ValueError`` naming
+    ``what``. An integer array is checked by its dtype alone, with no pass over
+    its data (a uint64 array by its largest value too); an int64 one comes back
+    as it is.
     """
-    if not isinstance(values, np.ndarray):
+    if isinstance(values, np.ndarray):
+        if values.dtype is _INT64:
+            return values
+        kind = values.dtype.kind
+        if kind == "u" and values.dtype.itemsize == 8 and values.size and values.max() >= _ID_LIMIT:
+            raise ValueError(f"{what} must fit in a signed 64-bit integer")
+        if kind in "iu" or (kind != "O" and not values.size):
+            return values.astype(np.int64)
+        if kind != "O":
+            raise ValueError(f"{what} must be integers, got {values.dtype} values")
+    elif isinstance(values, Iterable) and not isinstance(values, (str, bytes)):
         values = list(values)
-    ids = np.asarray(values)
-    if ids.size == 0:
-        return ids.astype(np.int64)
-    if ids.dtype.kind not in "iu":
-        # numpy holds ints past int64, alone or mixed with smaller ones, as
-        # objects or floats
-        items = ids.flat if isinstance(values, np.ndarray) else values
-        if ids.dtype.kind in "fO" and all(isinstance(v, (int, np.integer)) for v in items):
-            raise ValueError("species ids must fit in a signed 64-bit integer")
-        raise ValueError(f"species ids must be integers, got {ids.dtype} values")
-    if ids.min() < 0:
-        raise ValueError("species ids must be non-negative")
-    if ids.dtype.kind == "u" and ids.max() >= _ID_LIMIT:
-        raise ValueError("species ids must fit in a signed 64-bit integer")
-    return ids.astype(np.int64, copy=False)
+    # numpy reads [True, 2] as ints and [2**64, 1] as floats: check each item's type
+    items = np.asarray(values, dtype=object)
+    types = set(map(type, items.flat))
+    bad = [t.__name__ for t in types if t is bool or not issubclass(t, (int, np.integer))]
+    if bad:
+        raise ValueError(f"{what} must be integers, got {'/'.join(sorted(bad))} values")
+    try:
+        return items.astype(np.int64)
+    except OverflowError:
+        raise ValueError(f"{what} must fit in a signed 64-bit integer") from None
+
+
+def _as_ids(values: int | Iterable[int] | np.ndarray, what: str = "species ids") -> np.ndarray:
+    """:func:`_as_integers` for ids and labels, which must also be non-negative."""
+    ids = _as_integers(values, what)
+    if ids.size and ids.min() < 0:
+        raise ValueError(f"{what} must be non-negative")
+    return ids
+
+
+def _as_int(value: int, what: str, low: int = 1, high: int = _ID_LIMIT) -> int:
+    """A caller's integer as a Python int in ``[low, high)``, refusing floats, strings and bools."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if number < low:
+        raise ValueError(f"{what} must be at least {low}, got {number}")
+    if number >= high:
+        raise ValueError(f"{what} must be below {high}, got {number}")
+    return number
 
 
 def _check_psi(psi: float) -> float:
@@ -122,8 +156,9 @@ class SpeciesCounts:
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        ids = np.array(self.ids, dtype=np.int64)
-        counts = np.array(self.counts, dtype=np.int64)
+        # copies, so that making them read-only leaves the caller's arrays alone
+        ids = np.array(_as_integers(self.ids))
+        counts = np.array(_as_integers(self.counts, "counts"))
         if ids.ndim != 1 or ids.shape != counts.shape:
             raise ValueError("species ids and counts must be 1-d arrays of equal length")
         if ids.size and (ids[0] < 0 or (ids[1:] <= ids[:-1]).any()):
@@ -163,16 +198,7 @@ class SpeciesCounts:
 
     def count_of(self, species: int | Iterable[int] | np.ndarray) -> np.ndarray:
         """Counts of the given integer ids (0 for an absent id), shaped like ``species``."""
-        # numpy reads a list holding an int past int64 as floats: check the objects
-        ids = species if isinstance(species, np.ndarray) else np.asarray(species, dtype=object)
-        if ids.dtype.kind not in "iu" and not all(
-            isinstance(v, int | np.integer) for v in ids.flat
-        ):
-            raise ValueError("species ids must be integers")
-        try:
-            species = ids.astype(np.int64, copy=False)
-        except OverflowError:
-            raise ValueError("species ids must fit in a signed 64-bit integer") from None
+        species = _as_integers(species)
         if self.ids.size == 0:
             return np.zeros_like(species)
         at = np.searchsorted(self.ids, species)
@@ -193,14 +219,12 @@ class Partition:
     rho: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        n = _as_int(self.n, "sample size")
         try:
-            # like a species id, a float is refused instead of truncated
-            n = operator.index(self.n)
+            # operator.index, as in _as_int, without its per-call cost on partition_of's path
             pairs = tuple((operator.index(t), operator.index(m)) for t, m in self.rho)
         except TypeError:
-            raise ValueError("sample size and abundance entries must be integers") from None
-        if n < 1:
-            raise ValueError(f"sample size must be at least 1, got {n}")
+            raise ValueError("abundance entries must be integers") from None
         previous_t = 0
         mass = 0
         for t, m in pairs:
@@ -319,11 +343,7 @@ def expected_distinct(psi: float, n: int) -> float:
     Equals ``sum_{j=1..n} psi / (psi + j - 1)``; strictly increasing in
     ``psi`` with range ``(1, n)`` for ``n >= 2``.
     """
-    psi = _check_psi(psi)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"sample size must be at least 1, got {n}")
-    return _distinct_and_slope(psi, n)[0]
+    return _distinct_and_slope(_check_psi(psi), _as_int(n, "sample size"))[0]
 
 
 def fisher_information(psi0: float, n: int) -> float:
@@ -333,9 +353,7 @@ def fisher_information(psi0: float, n: int) -> float:
     observation carries no information about ``psi``.
     """
     psi0 = _check_psi(psi0)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"sample size must be at least 1, got {n}")
+    n = _as_int(n, "sample size")
     if n == 1:
         raise ValueError("information is zero: test undefined for n=1")
     # divided twice: psi0 * psi0 underflows to 0 below psi0 = 1e-154
@@ -388,5 +406,5 @@ def predictive_prob(
     ``counts`` may be empty, in which case NEW has probability 1.
     """
     psi = _check_psi(psi)
-    count = 0 if isinstance(species, _NewSpecies) else int(counts.count_of(species))
+    count = 0 if isinstance(species, _NewSpecies) else int(counts.count_of(_as_ids(species)))
     return math.exp(_log_factor(count, 1, counts.n, psi))

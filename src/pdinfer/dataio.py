@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _ID_LIMIT
+from .core import _ID_LIMIT, _as_ids, _as_int
 
 __all__ = [
     "Dataset",
@@ -109,12 +109,17 @@ def write_dataset(
     labels: Iterable[int] | np.ndarray | None = None,
     metadata: Mapping[str, object] | None = None,
 ) -> None:
-    """Write a dataset file; labeled when ``labels`` is given."""
-    values = np.asarray(values, dtype=np.int64)
+    """Write a dataset file; labeled when ``labels`` is given.
+
+    Ids that :func:`read_dataset` would refuse raise ``ValueError`` before the file is opened.
+    """
+    values = _as_ids(values)
+    if values.ndim != 1:
+        raise ValueError("values must be a 1-d sequence")
     if labels is None:
         kind, body = KIND_UNLABELED, map(str, values.tolist())
     else:
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = _as_ids(labels, "class ids")
         if labels.shape != values.shape:
             raise ValueError("labels and values must have the same length")
         kind, body = KIND_LABELED, map("{}\t{}".format, labels.tolist(), values.tolist())
@@ -240,10 +245,10 @@ def write_classification(
     metadata: Mapping[str, object] | None = None,
 ) -> None:
     """Write a classification result file (see the module docstring)."""
-    labeling = np.asarray(labeling, dtype=np.int64)
+    labeling = _as_ids(labeling, "class ids")
     contributions = np.asarray(per_item_log, dtype=np.float64).tolist()
     body = list(map("{}\t{}\t{:.17g}".format, range(labeling.size), labeling.tolist(), contributions))
     body.append(f"# total_log_score = {log_score:.17g}")
-    body.append(f"# sweeps = {int(sweeps)}")
+    body.append(f"# sweeps = {_as_int(sweeps, 'sweeps', 0)}")
     body.append(f"# converged = {str(bool(converged)).lower()}")
     _write_v1(path, f"classification n={labeling.size}", metadata, body)

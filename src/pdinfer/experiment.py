@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .classify import classify_marginal, classify_simultaneous, train_from_counts
-from .core import SpeciesCounts, _check_psi
+from .core import SpeciesCounts, _as_int, _check_psi
 from .dataio import _write_v1
 from .sampling import UrnConfig, _check_seed, derive_seeds, sample_sequence
 
@@ -68,23 +68,16 @@ class ExperimentSpec:
         psis = tuple(_check_psi(p) for p in self.psis)
         if len(psis) < 2:
             raise ValueError("need at least 2 classes")
-        sizes = tuple(int(m) for m in self.training_sizes)
+        # a training or test size below k leaves a class without items
+        sizes = tuple(_as_int(m, "training size", len(psis)) for m in self.training_sizes)
         if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError("training sizes must be a non-empty strictly increasing list")
-        if sizes[0] // len(psis) < 1:
-            raise ValueError(
-                f"smallest training size {sizes[0]} leaves no items per class"
-            )
-        if int(self.test_size) // len(psis) < 1:
-            raise ValueError(f"test size {self.test_size} leaves no items per class")
-        if int(self.replicates) < 1:
-            raise ValueError("need at least 1 replicate")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"need at least 1 worker, got {self.workers}")
         object.__setattr__(self, "psis", psis)
         object.__setattr__(self, "training_sizes", sizes)
-        object.__setattr__(self, "test_size", int(self.test_size))
-        object.__setattr__(self, "replicates", int(self.replicates))
+        object.__setattr__(self, "test_size", _as_int(self.test_size, "test size", len(psis)))
+        object.__setattr__(self, "replicates", _as_int(self.replicates, "replicates"))
+        if self.workers is not None:
+            object.__setattr__(self, "workers", _as_int(self.workers, "workers"))
         object.__setattr__(self, "master_seed", _check_seed(self.master_seed))
         object.__setattr__(self, "output_path", Path(self.output_path))
         estimated = self.estimated_memory_bytes()
@@ -165,12 +158,6 @@ def _replicate_metrics(
     return metrics
 
 
-def _worker_count(spec: ExperimentSpec) -> int:
-    if spec.workers is not None:
-        return int(spec.workers)
-    return os.cpu_count() or 1
-
-
 def _metadata(spec: ExperimentSpec) -> dict[str, object]:
     """Header metadata shared by every output file of a study."""
     return {
@@ -197,7 +184,7 @@ def run_convergence_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
     seed_blocks = [seeds[r * block : (r + 1) * block] for r in range(spec.replicates)]
     replicate = functools.partial(_replicate_metrics, spec)
 
-    workers = min(_worker_count(spec), spec.replicates)
+    workers = min(spec.workers or os.cpu_count() or 1, spec.replicates)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_replicate = list(pool.map(replicate, seed_blocks))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from scipy.special import gammaincc
 
-from .core import Partition, _check_psi, _distinct_and_slope, _log_rising_factorial
+from .core import Partition, _as_int, _check_psi, _distinct_and_slope, _log_rising_factorial
 from .estimation import PsiEstimate, fit_psi, fit_psi_pooled
 
 __all__ = [
@@ -60,11 +60,9 @@ def chi_square_sf(x: float, df: int) -> float:
     Evaluated through the regularized upper incomplete gamma function.
     """
     x = float(x)
-    df = int(df)
+    df = _as_int(df, "degrees of freedom")
     if x < 0.0:
         raise ValueError(f"statistic must be non-negative, got {x}")
-    if df < 1:
-        raise ValueError(f"degrees of freedom must be at least 1, got {df}")
     return float(gammaincc(df / 2.0, x / 2.0))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SpeciesCounts, _check_psi
+from .core import SpeciesCounts, _as_int, _check_psi
 
 __all__ = [
     "GeneratedSequence",
@@ -35,10 +35,7 @@ _SEED_LIMIT = 2**64
 
 
 def _check_seed(seed: int) -> int:
-    seed = int(seed)
-    if not 0 <= seed < _SEED_LIMIT:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return seed
+    return _as_int(seed, "seed", 0, _SEED_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -51,9 +48,7 @@ class UrnConfig:
 
     def __post_init__(self) -> None:
         _check_psi(self.psi)
-        if int(self.length) < 1:
-            raise ValueError(f"length must be at least 1, got {self.length}")
-        object.__setattr__(self, "length", int(self.length))
+        object.__setattr__(self, "length", _as_int(self.length, "length"))
         object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
@@ -85,10 +80,9 @@ def derive_seeds(master_seed: int, count: int) -> tuple[int, ...]:
     expansion of the master seed); dataset and experiment headers record
     the master seed so every derived stream can be reproduced.
     """
-    master_seed = _check_seed(master_seed)
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
-    state = np.random.SeedSequence(master_seed).generate_state(count, np.uint64)
+    state = np.random.SeedSequence(_check_seed(master_seed)).generate_state(
+        _as_int(count, "count"), np.uint64
+    )
     return tuple(int(s) for s in state)
 
 
@@ -130,12 +124,11 @@ def sample_labeled_dataset(
     k = len(psis)
     if k < 1:
         raise ValueError("need at least one class")
-    if int(per_class_size) < 1:
-        raise ValueError(f"per-class size must be at least 1, got {per_class_size}")
+    per_class_size = _as_int(per_class_size, "per-class size")
     class_seeds = derive_seeds(seed, k)
-    labels = np.repeat(np.arange(k, dtype=np.int64), int(per_class_size))
+    labels = np.repeat(np.arange(k, dtype=np.int64), per_class_size)
     values = np.concatenate([
-        sample_sequence(UrnConfig(psi, int(per_class_size), class_seed)).values
+        sample_sequence(UrnConfig(psi, per_class_size, class_seed)).values
         for psi, class_seed in zip(psis, class_seeds)
     ])
     return labels, values

@@ -487,6 +487,17 @@ class TestExperimentCommand:
         assert code == EXIT_USAGE
         assert "memory-cap-gb" in stderr
 
+    @pytest.mark.parametrize("cap", ["1.7e299", "1e300", "1e308"])
+    def test_memory_cap_without_finite_bytes_usage_error(self, tmp_path, capsys, cap):
+        # the cap in bytes, cap * 2^30, overflows to inf; this once raised OverflowError
+        code, stdout, stderr = run(
+            capsys, "experiment", "--out", str(tmp_path / "exp"), "--memory-cap-gb", cap,
+        )
+        assert code == EXIT_USAGE and stdout == ""
+        assert stderr.startswith("pd-infer: usage error: argument --memory-cap-gb:")
+        assert stderr.count("\n") == 1
+        assert not (tmp_path / "exp").exists()
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(

@@ -87,6 +87,41 @@ class TestRoundTripProperty:
         assert outcome(path) == ("labeled", np.int64, values, (np.int64, labels), metadata)
 
 
+# ids of every kind a caller might pass: valid ones, negatives, ints past int64,
+# floats, bools and numeric strings
+_ANY_ID = st.one_of(
+    st.integers(0, ID_MAX),
+    st.integers(-(2**64), 2**65),
+    st.floats(),
+    st.booleans(),
+    st.integers(0, 9).map(str),
+)
+
+
+def _is_id(value):
+    return type(value) is int and 0 <= value <= ID_MAX
+
+
+class TestWriterAcceptsOnlyWhatTheReaderReads:
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(records=st.lists(st.tuples(_ANY_ID, _ANY_ID), max_size=6), labeled=st.booleans())
+    def test_round_trip_or_no_file(self, tmp_path, records, labeled):
+        # the writer once wrote -1, and the reader then refused the file at line 2
+        path = tmp_path / "data.tsv"
+        path.unlink(missing_ok=True)
+        values = [v for v, _ in records]
+        labels = [c for _, c in records] if labeled else None
+        if all(map(_is_id, values + (labels or []))):
+            write_dataset(path, values, labels=labels)
+            dataset = read_dataset(path)
+            assert dataset.values.tolist() == values
+            assert (None if dataset.labels is None else dataset.labels.tolist()) == labels
+        else:
+            with pytest.raises(ValueError):
+                write_dataset(path, values, labels=labels)
+            assert not path.exists()
+
+
 def test_canonical_files_never_reach_the_line_parser(tmp_path, monkeypatch):
     # files in the writer's layout, as the benchmark and the CLI produce them,
     # must take the one-call path; this fails if they fall back
