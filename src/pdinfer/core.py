@@ -28,6 +28,7 @@ import math
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -179,8 +180,10 @@ class SpeciesCounts:
     def from_values(cls, values: Iterable[int] | np.ndarray) -> "SpeciesCounts":
         """Count occurrences of each species id in a sequence of observations.
 
-        Memory is proportional to the number of observations, whatever the
-        size of the ids.
+        Ids whose largest is below the number of observations are binned
+        (``np.bincount``), others are sorted (``np.unique``); either way memory
+        is proportional to the number of observations, whatever the size of
+        the ids.
 
         Raises:
             ValueError: on a non-integer or negative id, an id that does not
@@ -189,6 +192,11 @@ class SpeciesCounts:
         ids = _as_ids(values)
         if ids.ndim != 1:
             raise ValueError("expected a 1-d array of species ids")
+        if ids.size and ids.max() < ids.size:
+            counts = np.bincount(ids)
+            present = np.flatnonzero(counts)
+            counts = counts[present]  # frees the bins before the constructor copies
+            return cls(present, counts)
         return cls(*np.unique(ids, return_counts=True))
 
     @property
@@ -221,8 +229,15 @@ class Partition:
     def __post_init__(self) -> None:
         n = _as_int(self.n, "sample size")
         try:
-            # operator.index, as in _as_int, without its per-call cost on partition_of's path
-            pairs = tuple((operator.index(t), operator.index(m)) for t, m in self.rho)
+            # one scan of the entries' types at C speed, with no Python call per pair on
+            # partition_of's path: plain ints are kept, a bool (which operator.index
+            # reads as 0/1) is refused, and others go through operator.index as in _as_int
+            pairs = tuple(map(tuple, self.rho))
+            types = set(map(type, chain.from_iterable(pairs)))
+            if bool in types:
+                raise TypeError
+            if not types <= {int}:
+                pairs = tuple((operator.index(t), operator.index(m)) for t, m in pairs)
         except TypeError:
             raise ValueError("abundance entries must be integers") from None
         previous_t = 0
@@ -403,8 +418,14 @@ def predictive_prob(
     An already-observed species ``j`` has probability ``n_j / (n + psi)``;
     :data:`NEW` (or any id absent from ``counts``) has probability
     ``psi / (n + psi)``. Over the observed species plus NEW these sum to one.
-    ``counts`` may be empty, in which case NEW has probability 1.
+    ``counts`` may be empty, in which case NEW has probability 1. ``species``
+    is one id; a sequence of ids raises ``ValueError``.
     """
     psi = _check_psi(psi)
-    count = 0 if isinstance(species, _NewSpecies) else int(counts.count_of(_as_ids(species)))
+    count = 0
+    if not isinstance(species, _NewSpecies):
+        species = _as_ids(species)
+        if species.ndim:
+            raise ValueError(f"expected one species id, got a sequence of {species.size}")
+        count = int(counts.count_of(species))
     return math.exp(_log_factor(count, 1, counts.n, psi))

@@ -9,9 +9,12 @@ appearance.
 The draw at position ``i`` is new with a probability that depends only on
 ``i``, and an old draw copies a uniformly random earlier position, so the
 whole sequence can be generated vectorized: sample the new/old flags and the
-copy sources up front, then resolve the copy chains by pointer doubling
-(every chain ends at a new position after O(log n) rounds). This is the
-same process as the sequential loop, just a few orders of magnitude faster.
+copy sources up front, then resolve the copy chains by pointer doubling.
+The new positions (the roots) point to themselves, and the doubling stops at
+its fixed point, where every position points to its chain's root, after
+O(log n) rounds. A root's species id is its rank among the roots, so the ids
+follow first appearance. This is the same process as the sequential loop,
+just a few orders of magnitude faster.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SpeciesCounts, _as_int, _check_psi
+from .core import SpeciesCounts, _as_ids, _as_int, _check_psi
 
 __all__ = [
     "GeneratedSequence",
@@ -56,10 +59,11 @@ class UrnConfig:
 class GeneratedSequence:
     """One generated sequence plus its frequency table and the seed used.
 
-    ``values[i]`` is the species id of observation ``i``; ids form the
-    contiguous range ``0 .. k_obs - 1`` in order of first appearance, so
-    they are counted directly as indices (``ValueError`` on an id not below
-    the sequence length or a gap in the range).
+    ``values[i]`` is the species id of observation ``i``, kept as int64
+    after the integer gate; ids form the contiguous range ``0 .. k_obs - 1``
+    in order of first appearance, so they are counted directly as indices
+    (``ValueError`` on an id not below the sequence length or a gap in the
+    range).
     """
 
     values: np.ndarray
@@ -67,9 +71,11 @@ class GeneratedSequence:
     seed_used: int
 
     def __post_init__(self) -> None:
-        if self.values.size and self.values.max() >= self.values.size:
+        values = _as_ids(self.values)
+        if values.size and values.max() >= values.size:
             raise ValueError("species ids must be the contiguous range 0 .. k_obs - 1")
-        counts = np.bincount(self.values)
+        counts = np.bincount(values)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "counts", SpeciesCounts(np.arange(counts.size), counts))
 
 
@@ -88,18 +94,24 @@ def derive_seeds(master_seed: int, count: int) -> tuple[int, ...]:
 
 def _urn_values(psi: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Generate ``n`` species ids from the urn with the given generator."""
-    positions = np.arange(n, dtype=np.int64)
+    # float positions are exact below 2^53, so both products match int64 ones
+    positions = np.arange(n, dtype=np.float64)
     # independent new/old decisions: P(new at i) = psi / (psi + i)
     is_new = rng.random(n) * (positions + psi) < psi
     # old draws copy a uniform earlier position (never used at i = 0)
-    copy_source = (rng.random(n) * positions).astype(np.int64)
-    parent = np.where(is_new, positions, copy_source)
+    parent = (rng.random(n) * positions).astype(np.int64)
+    roots = np.flatnonzero(is_new)
+    parent[roots] = roots
     # pointer doubling: after k rounds each position points 2^k steps up its
-    # copy chain, clamped at new positions (which point to themselves)
-    while not is_new[parent].all():
-        parent = parent[parent]
-    species_at_root = np.cumsum(is_new) - 1
-    return species_at_root[parent]
+    # copy chain, clamped at the roots, the only positions that point to themselves
+    while True:
+        grand = parent[parent]
+        if (grand == parent).all():
+            break
+        parent = grand
+    # the last gather equals parent, so its buffer is free to map roots to ranks
+    grand[roots] = np.arange(roots.size)
+    return grand[parent]
 
 
 def sample_sequence(config: UrnConfig) -> GeneratedSequence:

@@ -9,6 +9,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
+
 from pdinfer import esf_log_pmf
 
 
@@ -25,6 +27,24 @@ def integer_partitions(n):
 
     for p in parts(n, n):
         yield dict(Counter(p))
+
+
+def urn_values_reference(psi: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The urn sampler in its first vectorized form, kept as the reference for its rewrites.
+
+    Same draws in the same order: new/old flags at ``psi / (psi + i)``, then
+    uniform copy sources; copy chains are resolved by pointer doubling until
+    every position points to a new one, and species are numbered by a running
+    count of the new positions.
+    """
+    positions = np.arange(n, dtype=np.int64)
+    is_new = rng.random(n) * (positions + psi) < psi
+    copy_source = (rng.random(n) * positions).astype(np.int64)
+    parent = np.where(is_new, positions, copy_source)
+    while not is_new[parent].all():
+        parent = parent[parent]
+    species_at_root = np.cumsum(is_new) - 1
+    return species_at_root[parent]
 
 
 def esf_prob_exact(rho: dict, psi: Fraction) -> Fraction:

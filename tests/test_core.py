@@ -114,6 +114,33 @@ class TestSpeciesCounts:
         assert SpeciesCounts.from_values(values) == SpeciesCounts([0, 1, 3], [1, 1, 3])
         assert SpeciesCounts.from_values(np.array(values)) == SpeciesCounts([0, 1, 3], [1, 1, 3])
 
+    @given(
+        st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=50),
+        st.sampled_from(["n - 1", "n", "far"]),
+    )
+    def test_from_values_both_paths_match_unique(self, values, largest):
+        # binned when the largest id is below n, sorted otherwise: the same table either way
+        n = len(values)
+        top = {"n - 1": n - 1, "n": n, "far": 2**62}[largest]
+        values = [min(v, top) for v in values[1:]] + [top]
+        want = SpeciesCounts(*np.unique(np.array(values, dtype=np.int64), return_counts=True))
+        assert SpeciesCounts.from_values(values) == want
+        assert SpeciesCounts.from_values(np.array(values)) == want
+
+    def test_from_values_binned_memory(self):
+        # n distinct ids below n, the most bins. At the peak the present ids, their
+        # counts and the constructor's two copies are alive: four int64 per observation
+        n = 10**6
+        values = np.arange(n)
+        tracemalloc.start()
+        try:
+            counts = SpeciesCounts.from_values(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.n == counts.k_obs == n
+        assert peak < 4.5 * 8 * n
+
     @pytest.mark.parametrize("as_array", [False, True])
     def test_from_values_large_id_small_memory(self, as_array):
         values = [0, 10**10]

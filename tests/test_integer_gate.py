@@ -12,6 +12,8 @@ import pytest
 
 from pdinfer import (
     ExperimentSpec,
+    GeneratedSequence,
+    Partition,
     SpeciesCounts,
     UrnConfig,
     chi_square_sf,
@@ -52,6 +54,12 @@ REFUSED = {
         lambda p: COUNTS.count_of(np.array([2**63], dtype=np.uint64)), "64-bit"),
     "predictive_prob-bool": (lambda p: predictive_prob(COUNTS, 1.0, True), "integers"),
     "predictive_prob-negative": (lambda p: predictive_prob(COUNTS, 1.0, -1), "non-negative"),
+    "predictive_prob-one-item-list": (lambda p: predictive_prob(COUNTS, 1.0, [1]), "one species id"),
+    "predictive_prob-list": (lambda p: predictive_prob(COUNTS, 1.0, [1, 2]), "one species id"),
+    "partition-bool-multiplicity": (lambda p: Partition(n=3, rho=((1, True), (2, 1))), "integers"),
+    "partition-bool-abundance": (lambda p: Partition(n=2, rho=((True, 2),)), "integers"),
+    "generated-float-values": (lambda p: GeneratedSequence(np.array([0.0, 1.5]), 1), "integers"),
+    "generated-negative": (lambda p: GeneratedSequence(np.array([0, -1]), 1), "non-negative"),
     "marginal-float-class": (lambda p: marginal_log_score(MODEL, 1, 0.5), "integer"),
     "marginal-bool-value": (lambda p: marginal_log_score(MODEL, True, 0), "integers"),
     "marginal-negative-value": (lambda p: marginal_log_score(MODEL, -1, 0), "non-negative"),
@@ -116,6 +124,13 @@ ACCEPTED = {
     "count_of-negative-ids": (lambda p: COUNTS.count_of([-1, -(2**63), 1]).tolist(), [0, 0, 3]),
     "predictive_prob-numpy-scalar": (
         lambda p: predictive_prob(COUNTS, 1.0, np.uint8(1)), predictive_prob(COUNTS, 1.0, 1)),
+    "partition-numpy-ints": (
+        lambda p: Partition(n=np.int64(3), rho=((np.int8(1), np.uint64(1)), (2, np.int32(1)))),
+        Partition(n=3, rho=((1, 1), (2, 1)))),
+    "generated-list": (
+        lambda p: GeneratedSequence([0, 1, 0], 1).counts, SpeciesCounts([0, 1], [2, 1])),
+    "generated-int8": (
+        lambda p: GeneratedSequence(np.array([0, 1, 0], np.int8), 1).values.dtype, np.int64),
     "train-small-dtypes": (
         lambda p: [c.value_counts for c in train(np.array([0, 0, 1, 1], np.uint8),
                                                  np.array([1, 1, 2, 3], np.uint64)).classes],

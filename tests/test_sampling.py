@@ -18,6 +18,8 @@ from pdinfer import (
     sample_sequence,
 )
 
+from oracles import urn_values_reference
+
 
 class TestUrnConfig:
     def test_validation(self):
@@ -64,6 +66,16 @@ class TestSampleSequence:
         # ids are counted as indices; one past the length is refused before any allocation
         with pytest.raises(ValueError):
             GeneratedSequence(np.array(values), seed_used=0)
+
+    @pytest.mark.parametrize("psi", [1e-10, 0.3, 1.0, 10.0, 50.0, 1e3, 1e10])
+    @pytest.mark.parametrize("n", [1, 2, 5, 200, 2000, 66_666])
+    def test_matches_reference_sampler(self, psi, n):
+        # the same draws resolved the same way: values and dtype identical bit for bit
+        for seed in range(10):
+            values = sample_sequence(UrnConfig(psi, n, seed)).values
+            reference = urn_values_reference(psi, n, np.random.default_rng(seed))
+            assert values.dtype == reference.dtype
+            assert np.array_equal(values, reference)
 
     def test_distinct_count_near_expectation(self):
         # mean distinct species over replicates tracks the analytic value
