@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpeciesCounts, _as_ids, _as_int, _log_factor, partition_of
+from .core import SpeciesCounts, _as_id, _as_ids, _as_int, _log_factor, partition_of
 from .estimation import PsiEstimate, fit_psi
 
 __all__ = [
@@ -142,8 +142,6 @@ def train_from_counts(per_class_counts: Sequence[SpeciesCounts]) -> TrainingMode
         raise ValueError(f"need at least 2 training classes, got {len(per_class_counts)}")
     classes = []
     for class_id, value_counts in enumerate(per_class_counts):
-        if value_counts.n == 0:
-            raise ValueError(f"class {class_id} has no training items")
         classes.append(ClassModel(class_id, value_counts, fit_psi(partition_of(value_counts))))
     return TrainingModel(classes=tuple(classes))
 
@@ -171,7 +169,7 @@ def _class_log_factor(model: TrainingModel, value: int, class_id: int, q: int) -
 
 def marginal_log_score(model: TrainingModel, item_value: int, class_id: int) -> float:
     """Log predictive probability of one value under one class's training data."""
-    return _class_log_factor(model, _as_ids(item_value), class_id, 1)
+    return _class_log_factor(model, _as_id(item_value), class_id, 1)
 
 
 def _as_test_values(test_values: Sequence[int] | np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from pathlib import Path
 
 from . import __version__
 from .classify import classify_marginal, classify_simultaneous, counts_by_class, train_from_counts
-from .core import Partition, SpeciesCounts, _as_int, _check_psi, partition_of
+from .core import SpeciesCounts, _as_int, _check_psi, partition_of
 from .dataio import (
     Dataset,
     DatasetFormatError,
@@ -147,10 +147,6 @@ def _read(path: str) -> Dataset:
     return dataset
 
 
-def _read_partition(path: str) -> Partition:
-    return partition_of(SpeciesCounts.from_values(_read(path).values))
-
-
 def _read_classes(path: str) -> list[SpeciesCounts]:
     """Per-class frequency tables of a labeled dataset file; a bad split is a data error."""
     dataset = _read(path)
@@ -218,9 +214,9 @@ def _cmd_mle(args: argparse.Namespace) -> int:
     if args.per_class:
         for c, counts in enumerate(_read_classes(args.input)):
             print(f"class = {c}")
-            _print_fit(fit_psi(partition_of(counts)), f"class {c}")
+            _print_fit(fit_psi(counts), f"class {c}")
     else:
-        _print_fit(fit_psi(_read_partition(args.input)), args.input)
+        _print_fit(fit_psi(SpeciesCounts.from_values(_read(args.input).values)), args.input)
     return EXIT_OK
 
 
@@ -231,14 +227,14 @@ def _cmd_test(args: argparse.Namespace) -> int:
             raise UsageError("--mode lm requires exactly one --input file")
         if args.psi0 is None:
             raise UsageError("--mode lm requires --psi0")
-        rho = _read_partition(inputs[0])
-        report, fit = lm_test(rho, args.psi0), fit_psi(rho)
+        counts = SpeciesCounts.from_values(_read(inputs[0]).values)
+        report, fit = lm_test(counts, args.psi0), fit_psi(counts)
         tail = [f"psi0 = {args.psi0:.12g}", f"psi_hat = {fit.psi_hat:.12g}",
                 f"psi_hat_status = {fit.status}"]
     else:
         if len(inputs) < 2:
             raise UsageError("--mode lrt requires at least two --input files")
-        report = lr_test([_read_partition(path) for path in inputs])
+        report = lr_test([SpeciesCounts.from_values(_read(path).values) for path in inputs])
         fits = [*enumerate(report.per_sample_psi), ("pooled", report.pooled_psi)]
         tail = [f"psi_hat_{name} = {fit.psi_hat:.12g}" for name, fit in fits]
     print(f"method = {report.method}")

@@ -1,21 +1,21 @@
 """Core types and densities for the one-parameter Poisson-Dirichlet model.
 
-A sample is summarized by its abundance partition: ``rho_t`` species were
-observed exactly ``t`` times. Its Ewens likelihood of ``psi`` depends only on
-``(n, k)``, the sample size and the number of distinct species. This module
-owns the two data containers and the one home of each formula: the log rising
-factorial, :func:`_distinct_and_slope` (the only sum over ``psi + j``, giving
-``E[K_n]`` and ``Var[K_n]`` to the fit and both tests) and the predictive
-factor :func:`_log_factor`. Each sum adds its first 50 terms directly and the
-rest by asymptotic series, so it takes O(1) time and memory at any size.
+A sample is a frequency table or its abundance partition (``rho_t`` species
+seen ``t`` times). Its Ewens likelihood of ``psi`` reads only ``(n, k)``, the
+size and the number of distinct species, which :func:`_n_and_k` takes from
+either. This module owns the two data containers and the one home of each
+formula: the log rising factorial, :func:`_distinct_and_slope` (the only sum
+over ``psi + j``, giving ``E[K_n]`` and ``Var[K_n]`` to the fit and both tests)
+and the predictive factor :func:`_log_factor`. Each sum adds its first 50 terms
+directly and the rest by asymptotic series, in O(1) time and memory.
 
 Species identifiers are opaque non-negative integers assigned by ingestion
 code in order of first appearance; no numeric result may depend on their
 values, only on the multiset of frequencies. This module is the package's one
-integer gate: :func:`_as_integers` and its non-negative form :func:`_as_ids`
-(ids, labels, counts) and :func:`_as_int` (sizes, seeds, class ids, indices,
-degrees of freedom) are the only conversions of a caller's integers. They
-refuse floats, strings and bools rather than truncate, parse or read them as 0/1.
+integer gate: :func:`_as_integers`, :func:`_as_ids` (non-negative ids, labels,
+counts; :func:`_as_id` for one id) and :func:`_as_int` (sizes, seeds, class ids,
+indices, degrees of freedom) are the only conversions of a caller's integers.
+They refuse floats, strings and bools rather than truncate, parse or read them as 0/1.
 
 All containers are immutable after construction (the arrays of a
 :class:`SpeciesCounts` are read-only) and all operations are pure functions,
@@ -115,6 +115,14 @@ def _as_ids(values: int | Iterable[int] | np.ndarray, what: str = "species ids")
     if ids.size and ids.min() < 0:
         raise ValueError(f"{what} must be non-negative")
     return ids
+
+
+def _as_id(value: int) -> np.ndarray:
+    """One species id as a 0-d int64 array; a sequence of ids raises ``ValueError``."""
+    species = _as_ids(value)
+    if species.ndim:
+        raise ValueError(f"expected one species id, got a sequence of {species.size}")
+    return species
 
 
 def _as_int(value: int, what: str, low: int = 1, high: int = _ID_LIMIT) -> int:
@@ -264,17 +272,17 @@ class Partition:
         pairs = tuple((t, m) for t, m in enumerate(rho, start=1) if m != 0)
         return cls(n=sum(t * m for t, m in pairs), rho=pairs)
 
-    def to_dense(self) -> tuple[int, ...]:
-        """Dense ``(rho_1, ..., rho_n)`` vector; intended for small ``n``."""
-        dense = [0] * self.n
-        for t, m in self.rho:
-            dense[t - 1] = m
-        return tuple(dense)
-
     @property
     def k_obs(self) -> int:
         """Number of distinct species, ``sum(rho_t)``."""
         return sum(m for _, m in self.rho)
+
+
+def _n_and_k(sample: SpeciesCounts | Partition) -> tuple[int, int]:
+    """A sample's size and distinct count, all its likelihood reads; empty raises ``ValueError``."""
+    if sample.n == 0:
+        raise ValueError("empty sample")
+    return sample.n, sample.k_obs
 
 
 def partition_of(counts: SpeciesCounts) -> Partition:
@@ -283,15 +291,14 @@ def partition_of(counts: SpeciesCounts) -> Partition:
     Raises:
         ValueError: if the sample is empty.
     """
-    if counts.n == 0:
-        raise ValueError("empty sample")
-    if counts.n > _BINCOUNT_MAX_COUNT and counts.counts.max() > _BINCOUNT_MAX_COUNT:
+    n, _ = _n_and_k(counts)
+    if n > _BINCOUNT_MAX_COUNT and counts.counts.max() > _BINCOUNT_MAX_COUNT:
         t, multiplicity = np.unique(counts.counts, return_counts=True)
     else:
         multiplicity = np.bincount(counts.counts)
         t = np.flatnonzero(multiplicity)
         multiplicity = multiplicity[t]
-    return Partition(n=counts.n, rho=tuple(zip(t.tolist(), multiplicity.tolist())))
+    return Partition(n=n, rho=tuple(zip(t.tolist(), multiplicity.tolist())))
 
 
 def _log_rising_factorial(psi: float, n: int) -> float:
@@ -424,8 +431,5 @@ def predictive_prob(
     psi = _check_psi(psi)
     count = 0
     if not isinstance(species, _NewSpecies):
-        species = _as_ids(species)
-        if species.ndim:
-            raise ValueError(f"expected one species id, got a sequence of {species.size}")
-        count = int(counts.count_of(species))
+        count = int(counts.count_of(_as_id(species)))
     return math.exp(_log_factor(count, 1, counts.n, psi))

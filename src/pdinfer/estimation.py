@@ -21,7 +21,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .core import Partition, _distinct_and_slope
+from .core import Partition, SpeciesCounts, _distinct_and_slope, _n_and_k
 
 __all__ = [
     "MAX_ITERATIONS",
@@ -120,7 +120,7 @@ def _newton(k_total: int, sizes: Sequence[int]) -> tuple[float, int, float]:
     return psi, iterations, gap
 
 
-def fit_psi_pooled(samples: Sequence[Partition]) -> PsiEstimate:
+def fit_psi_pooled(samples: Sequence[SpeciesCounts | Partition]) -> PsiEstimate:
     """MLE of a dispersal parameter shared by several independent samples.
 
     Solves the pooled root equation; with a single sample this is identical
@@ -130,22 +130,19 @@ def fit_psi_pooled(samples: Sequence[Partition]) -> PsiEstimate:
     """
     if len(samples) == 0:
         raise ValueError("need at least one sample")
-    sizes = [p.n for p in samples]
-    k_total = sum(p.k_obs for p in samples)
+    sizes, distinct = zip(*map(_n_and_k, samples))
+    k_total = sum(distinct)
     n_total = sum(sizes)
 
-    if k_total <= len(samples):
-        # every sample consists of a single species: likelihood maximized
-        # as psi -> 0
-        psi = PSI_MIN
+    if k_total <= len(samples) or k_total >= n_total:
+        # every sample a single species: the likelihood is maximized as psi -> 0;
+        # all observations distinct: it increases without bound as psi -> infinity
+        if k_total <= len(samples):
+            psi, status = PSI_MIN, STATUS_DEGENERATE_LOW
+        else:
+            psi, status = PSI_MAX, STATUS_DEGENERATE_HIGH
         residual = abs(_gap_and_slope(psi, k_total, sizes)[0])
-        return PsiEstimate(psi, k_total, n_total, 0, residual, STATUS_DEGENERATE_LOW)
-    if k_total >= n_total:
-        # all observations distinct everywhere: likelihood increases without
-        # bound as psi -> infinity
-        psi = PSI_MAX
-        residual = abs(_gap_and_slope(psi, k_total, sizes)[0])
-        return PsiEstimate(psi, k_total, n_total, 0, residual, STATUS_DEGENERATE_HIGH)
+        return PsiEstimate(psi, k_total, n_total, 0, residual, status)
 
     psi, iterations, gap = _newton(k_total, sizes)
     # A root beyond an edge of the bracket draws every step to that edge, so
@@ -162,11 +159,11 @@ def fit_psi_pooled(samples: Sequence[Partition]) -> PsiEstimate:
     return PsiEstimate(psi, k_total, n_total, iterations, abs(gap), STATUS_CONVERGED)
 
 
-def fit_psi(rho: Partition) -> PsiEstimate:
-    """MLE of the dispersal parameter from one sample's abundance partition.
+def fit_psi(sample: SpeciesCounts | Partition) -> PsiEstimate:
+    """MLE of the dispersal parameter from one sample's ``(n, k)``.
 
-    Never raises for a valid partition: degenerate samples (``k_obs == 1``
+    Never raises for a non-empty sample: degenerate samples (``k_obs == 1``
     or ``k_obs == n``) come back with ``status`` set and ``psi_hat`` at the
     corresponding bracket boundary.
     """
-    return fit_psi_pooled([rho])
+    return fit_psi_pooled([sample])

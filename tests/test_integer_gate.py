@@ -63,6 +63,9 @@ REFUSED = {
     "marginal-float-class": (lambda p: marginal_log_score(MODEL, 1, 0.5), "integer"),
     "marginal-bool-value": (lambda p: marginal_log_score(MODEL, True, 0), "integers"),
     "marginal-negative-value": (lambda p: marginal_log_score(MODEL, -1, 0), "non-negative"),
+    "marginal-list-value": (lambda p: marginal_log_score(MODEL, [1, 2], 0), "one species id"),
+    "marginal-2d-value": (
+        lambda p: marginal_log_score(MODEL, np.array([[1, 2]]), 0), "one species id"),
     "simultaneous-float-labeling": (
         lambda p: simultaneous_log_score(MODEL, TEST_VALUES, [0.0, 1.0, 1.5], 0, 0), "integers"),
     "simultaneous-float-item": (
@@ -92,6 +95,7 @@ REFUSED = {
     "spec-float-workers": (lambda p: spec(p, workers=1.5), "integer"),
     "chi_square_sf-float-df": (lambda p: chi_square_sf(1.0, 1.5), "integer"),
     "chi_square_sf-bool-df": (lambda p: chi_square_sf(1.0, True), "integer"),
+    "chi_square_sf-nan-statistic": (lambda p: chi_square_sf(float("nan"), 1), "non-negative"),
 }
 
 
@@ -162,6 +166,7 @@ ACCEPTED = {
                        replicates=np.int64(1), workers=np.uint8(1)).training_sizes,
         (10, 20)),
     "chi_square_sf-numpy-df": (lambda p: chi_square_sf(1.0, np.int8(1)), chi_square_sf(1.0, 1)),
+    "chi_square_sf-inf-statistic": (lambda p: chi_square_sf(float("inf"), 1), 0.0),
 }
 
 
