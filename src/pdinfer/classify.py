@@ -9,7 +9,8 @@ probability also counts the other test items currently assigned to the same
 class that share its value. It climbs that joint score greedily: start from
 the marginal labeling, sweep the items in input order, reassign an item only
 when moving it strictly improves the joint score, and stop when a sweep
-changes nothing.
+changes nothing. Both results carry the labeling they started from as
+``start``, so one simultaneous call gives both classifiers' labelings.
 
 The joint score factorizes over (class, value) groups: every one of the
 ``q`` co-assigned test items holding the same value sees ``q - 1`` twins. A
@@ -103,7 +104,9 @@ class ClassificationResult:
 
     ``per_item_log[i]`` is item ``i``'s own log factor under the returned
     labeling; the factors sum to ``log_score`` for both classifiers.
-    ``sweeps`` is 0 for the marginal classifier.
+    ``sweeps`` is 0 for the marginal classifier. ``start`` is the labeling
+    the search began from: the marginal labeling for the simultaneous
+    classifier (a separate array), ``labeling`` itself for the marginal one.
     """
 
     labeling: Labeling
@@ -111,6 +114,7 @@ class ClassificationResult:
     per_item_log: np.ndarray
     sweeps: int
     converged: bool
+    start: Labeling
 
 
 def counts_by_class(labels: np.ndarray, values: np.ndarray) -> list[SpeciesCounts]:
@@ -200,6 +204,7 @@ def classify_marginal(
         per_item_log=per_item_log,
         sweeps=0,
         converged=True,
+        start=labeling,
     )
 
 
@@ -311,7 +316,8 @@ def classify_simultaneous(
     reassigning an item only when that strictly improves the joint score.
     Stops when a sweep makes no change, which is a local optimum of the
     joint score, or after a fixed cap of 100 sweeps, which is reported as
-    ``converged = False``.
+    ``converged = False``. The marginal labeling comes back as ``start``, so
+    a caller that wants both labelings classifies once.
 
     Only the items of values that :func:`_movable_values` finds movable at
     the start are swept; the other values' groups never change, so the
@@ -321,8 +327,10 @@ def classify_simultaneous(
     void the screen (see the module docstring).
     """
     values = _as_test_values(test_values)
-    # a copy: the labeling that classify_marginal returned stays as it was
-    labeling = classify_marginal(model, values).labeling.copy()
+    # called through the module global, so a wrapper of classify_marginal sees
+    # this nested call; the sweeps work on a copy, so ``start`` stays as it was
+    start = classify_marginal(model, values).labeling
+    labeling = start.copy()
     unique_values, inverse = np.unique(values, return_inverse=True)
     train_counts, m_c, psi = _score_inputs(model, unique_values)
     k = model.k
@@ -356,4 +364,5 @@ def classify_simultaneous(
         per_item_log=per_item_log,
         sweeps=sweeps,
         converged=converged,
+        start=start,
     )

@@ -140,6 +140,21 @@ def _as_int(value: int, what: str, low: int = 1, high: int = _ID_LIMIT) -> int:
     return number
 
 
+def _unchecked(cls: type, **fields: object):
+    """``cls(**fields)`` without its ``__post_init__`` checks, for fields the package built valid.
+
+    The public constructors check a caller's data; this is for arrays and tuples
+    that are valid by construction (ids ascending, counts positive, mass ``n``).
+    Array fields are made read-only, as the checked constructors make them.
+    """
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(instance, name, value)
+    return instance
+
+
 def _check_psi(psi: float) -> float:
     """Validate a dispersal parameter: positive and finite."""
     psi = float(psi)
@@ -197,15 +212,17 @@ class SpeciesCounts:
             ValueError: on a non-integer or negative id, an id that does not
                 fit int64, or an array that is not 1-d.
         """
-        ids = _as_ids(values)
-        if ids.ndim != 1:
+        values = _as_ids(values)
+        if values.ndim != 1:
             raise ValueError("expected a 1-d array of species ids")
-        if ids.size and ids.max() < ids.size:
-            counts = np.bincount(ids)
-            present = np.flatnonzero(counts)
-            counts = counts[present]  # frees the bins before the constructor copies
-            return cls(present, counts)
-        return cls(*np.unique(ids, return_counts=True))
+        if values.size and values.max() < values.size:
+            counts = np.bincount(values)
+            ids = np.flatnonzero(counts)
+            counts = counts[ids]
+        else:
+            ids, counts = np.unique(values, return_counts=True)
+        # fresh arrays, ascending ids and positive counts: nothing to check or copy
+        return _unchecked(cls, ids=ids, counts=counts, n=values.size)
 
     @property
     def k_obs(self) -> int:
@@ -298,7 +315,8 @@ def partition_of(counts: SpeciesCounts) -> Partition:
         multiplicity = np.bincount(counts.counts)
         t = np.flatnonzero(multiplicity)
         multiplicity = multiplicity[t]
-    return Partition(n=n, rho=tuple(zip(t.tolist(), multiplicity.tolist())))
+    # ascending abundances, positive multiplicities and mass n by construction
+    return _unchecked(Partition, n=n, rho=tuple(zip(t.tolist(), multiplicity.tolist())))
 
 
 def _log_rising_factorial(psi: float, n: int) -> float:

@@ -14,17 +14,19 @@ The new positions (the roots) point to themselves, and the doubling stops at
 its fixed point, where every position points to its chain's root, after
 O(log n) rounds. A root's species id is its rank among the roots, so the ids
 follow first appearance. This is the same process as the sequential loop,
-just a few orders of magnitude faster.
+just a few orders of magnitude faster, and it works in three length-n
+buffers. A sampled sequence is counted only when its ``counts`` is read.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpeciesCounts, _as_ids, _as_int, _check_psi
+from .core import SpeciesCounts, _as_ids, _as_int, _check_psi, _unchecked
 
 __all__ = [
     "GeneratedSequence",
@@ -57,26 +59,36 @@ class UrnConfig:
 
 @dataclass(frozen=True, eq=False)
 class GeneratedSequence:
-    """One generated sequence plus its frequency table and the seed used.
+    """One generated sequence and the seed used, with its frequency table on demand.
 
-    ``values[i]`` is the species id of observation ``i``, kept as int64
-    after the integer gate; ids form the contiguous range ``0 .. k_obs - 1``
-    in order of first appearance, so they are counted directly as indices
-    (``ValueError`` on an id not below the sequence length or a gap in the
-    range).
+    ``values[i]`` is the species id of observation ``i``, a read-only int64
+    array; ids form the contiguous range ``0 .. k_obs - 1`` in order of first
+    appearance, so they are counted directly as indices. The constructor
+    copies a caller's values through the integer gate and counts them at
+    once (``ValueError`` on an id not below the sequence length or a gap in
+    the range); :func:`sample_sequence`, whose ids are contiguous by
+    construction, leaves ``counts`` to the first read.
     """
 
     values: np.ndarray
-    counts: SpeciesCounts = field(init=False)
     seed_used: int
 
     def __post_init__(self) -> None:
-        values = _as_ids(self.values)
+        values = np.array(_as_ids(self.values))
         if values.size and values.max() >= values.size:
             raise ValueError("species ids must be the contiguous range 0 .. k_obs - 1")
         counts = np.bincount(values)
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "counts", SpeciesCounts(np.arange(counts.size), counts))
+        # the checked table fills the cache, so the gap check and counts cost one pass
+        self.__dict__["counts"] = SpeciesCounts(np.arange(counts.size), counts)
+
+    @functools.cached_property
+    def counts(self) -> SpeciesCounts:
+        """Frequency table of ``values``, counted on first read."""
+        counts = np.bincount(self.values)
+        ids = np.arange(counts.size)
+        return _unchecked(SpeciesCounts, ids=ids, counts=counts, n=self.values.size)
 
 
 def derive_seeds(master_seed: int, count: int) -> tuple[int, ...]:
@@ -93,32 +105,49 @@ def derive_seeds(master_seed: int, count: int) -> tuple[int, ...]:
 
 
 def _urn_values(psi: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Generate ``n`` species ids from the urn with the given generator."""
+    """Generate ``n`` species ids from the urn with the given generator.
+
+    Works in three length-``n`` buffers, allocated in this order: the positions,
+    the uniform draws and the returned ids, each reused once its first role ends.
+    """
     # float positions are exact below 2^53, so both products match int64 ones
     positions = np.arange(n, dtype=np.float64)
+    draws = rng.random(n)
+    values = np.empty(n, dtype=np.int64)
     # independent new/old decisions: P(new at i) = psi / (psi + i)
-    is_new = rng.random(n) * (positions + psi) < psi
+    draws *= np.add(positions, psi, out=values.view(np.float64))
+    roots = np.flatnonzero(draws < psi)
     # old draws copy a uniform earlier position (never used at i = 0)
-    parent = (rng.random(n) * positions).astype(np.int64)
-    roots = np.flatnonzero(is_new)
+    rng.random(out=draws)
+    draws *= positions
+    parent = positions.view(np.int64)
+    parent[...] = draws  # truncates, as astype(np.int64) does
     parent[roots] = roots
     # pointer doubling: after k rounds each position points 2^k steps up its
-    # copy chain, clamped at the roots, the only positions that point to themselves
+    # copy chain, clamped at the roots, the only positions that point to
+    # themselves. take(mode="clip") never clips, every index being in range;
+    # mode="raise" would buffer ``out``
+    grand = draws.view(np.int64)
     while True:
-        grand = parent[parent]
+        parent.take(parent, out=grand, mode="clip")
         if (grand == parent).all():
             break
-        parent = grand
+        parent, grand = grand, parent
     # the last gather equals parent, so its buffer is free to map roots to ranks
     grand[roots] = np.arange(roots.size)
-    return grand[parent]
+    return grand.take(parent, out=values, mode="clip")
 
 
 def sample_sequence(config: UrnConfig) -> GeneratedSequence:
-    """Generate one sequence; deterministic given the config."""
+    """Generate one sequence; deterministic given the config.
+
+    The urn's ids are contiguous first-appearance ids by construction, so the
+    result skips the constructor's gate and counting; ``counts`` is built on
+    first read.
+    """
     rng = np.random.default_rng(config.seed)
     values = _urn_values(config.psi, config.length, rng)
-    return GeneratedSequence(values=values, seed_used=config.seed)
+    return _unchecked(GeneratedSequence, values=values, seed_used=config.seed)
 
 
 def sample_labeled_dataset(

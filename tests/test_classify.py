@@ -330,6 +330,17 @@ class TestClassifySimultaneous:
         [(start, snapshot)] = returned
         assert (joint.labeling != snapshot).any()
         assert np.array_equal(start, snapshot)
+        assert joint.start is start
+
+    def test_start_is_the_marginal_labeling(self, moving_case):
+        model, values = moving_case
+        joint = classify_simultaneous(model, values)
+        marginal = classify_marginal(model, values)
+        assert np.array_equal(joint.start, marginal.labeling)
+        assert not np.shares_memory(joint.start, joint.labeling)
+        assert (joint.labeling != joint.start).any()
+        # the marginal search starts and ends at its own labeling
+        assert marginal.start is marginal.labeling
 
     def test_memory_linear_in_classes(self):
         # the move screen holds a few (value x class) arrays, never one per

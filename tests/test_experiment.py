@@ -1,8 +1,11 @@
 """Tests for the convergence-study harness."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import pdinfer.classify as classify_module
 from pdinfer import ExperimentSpec, __version__, run_convergence_experiment
 
 
@@ -127,3 +130,21 @@ class TestRunConvergenceExperiment:
         for j, m in enumerate(spec.training_sizes):
             errs = [float(fields[2]) for fields in raw if int(fields[1]) == m]
             np.testing.assert_allclose(np.mean(errs), rows[j].err_marginal, atol=1e-12)
+
+    def test_one_marginal_classification_per_training_size(self, monkeypatch, tmp_path):
+        # the marginal labeling comes back as the simultaneous result's start,
+        # so the study pays for it once; count the calls under every name bound to it
+        original = classify_module.classify_marginal
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, "classify_marginal", None)
+            if name.startswith("pdinfer") and bound is original:
+                monkeypatch.setattr(module, "classify_marginal", counted)
+        spec = small_spec(tmp_path)
+        run_convergence_experiment(spec)
+        assert len(calls) == spec.replicates * len(spec.training_sizes)

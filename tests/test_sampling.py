@@ -1,6 +1,7 @@
 """Tests for the urn-scheme sequence generator."""
 
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -61,6 +62,15 @@ class TestSampleSequence:
         tally = Counter(seq.values.tolist())
         assert seq.counts == SpeciesCounts(sorted(tally), [tally[v] for v in sorted(tally)])
 
+    def test_constructor_copies_values_read_only(self):
+        values = np.array([0, 1, 0])
+        sequence = GeneratedSequence(values, seed_used=0)
+        values[0] = 1
+        assert sequence.values.tolist() == [0, 1, 0]
+        assert sequence.counts == SpeciesCounts([0, 1], [2, 1])
+        with pytest.raises(ValueError):
+            sequence.values[0] = 1
+
     @pytest.mark.parametrize("values", [[0, 5], [1], [0, 2, 2], [2**40]])
     def test_counts_reject_non_contiguous_ids(self, values):
         # ids are counted as indices; one past the length is refused before any allocation
@@ -70,12 +80,28 @@ class TestSampleSequence:
     @pytest.mark.parametrize("psi", [1e-10, 0.3, 1.0, 10.0, 50.0, 1e3, 1e10])
     @pytest.mark.parametrize("n", [1, 2, 5, 200, 2000, 66_666])
     def test_matches_reference_sampler(self, psi, n):
-        # the same draws resolved the same way: values and dtype identical bit for bit
+        # the same draws resolved the same way: values and dtype identical bit for bit;
+        # the table counted on demand is the one from_values counts, and values stay fixed
         for seed in range(10):
-            values = sample_sequence(UrnConfig(psi, n, seed)).values
+            sequence = sample_sequence(UrnConfig(psi, n, seed))
+            values = sequence.values
             reference = urn_values_reference(psi, n, np.random.default_rng(seed))
             assert values.dtype == reference.dtype
             assert np.array_equal(values, reference)
+            assert sequence.counts == SpeciesCounts.from_values(values)
+            with pytest.raises(ValueError):
+                values[0] = 0
+
+    def test_memory(self):
+        # three length-n buffers (positions, draws, ids) plus the new/old flags
+        n = 10**5
+        tracemalloc.start()
+        try:
+            sample_sequence(UrnConfig(10.0, n, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * n
 
     def test_distinct_count_near_expectation(self):
         # mean distinct species over replicates tracks the analytic value
