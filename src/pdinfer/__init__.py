@@ -14,7 +14,6 @@ from .core import (
     SpeciesCounts,
     esf_log_pmf,
     expected_distinct,
-    fisher_information,
     partition_of,
     predictive_prob,
 )
@@ -48,8 +47,6 @@ from .classify import (
     classify_marginal,
     classify_simultaneous,
     counts_by_class,
-    marginal_log_score,
-    simultaneous_log_score,
     train,
     train_from_counts,
 )
@@ -80,20 +77,19 @@ __all__ = [
     "derive_seeds",
     "esf_log_pmf",
     "expected_distinct",
-    "fisher_information",
     "fit_psi",
     "fit_psi_pooled",
     "lm_test",
     "lr_test",
-    "marginal_log_score",
     "partition_of",
     "predictive_prob",
+    "read_dataset",
     "run_convergence_experiment",
     "sample_labeled_dataset",
     "sample_sequence",
     "score_U",
-    "simultaneous_log_score",
     "train",
     "train_from_counts",
+    "write_dataset",
     "__version__",
 ]

@@ -44,25 +44,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpeciesCounts, _as_id, _as_ids, _as_int, _log_factor, partition_of
+from .core import SpeciesCounts, _as_ids, _log_factor, partition_of
 from .estimation import PsiEstimate, fit_psi
 
 __all__ = [
     "ClassModel",
     "ClassificationResult",
-    "Labeling",
     "TrainingModel",
     "classify_marginal",
     "classify_simultaneous",
     "counts_by_class",
-    "marginal_log_score",
-    "simultaneous_log_score",
     "train",
     "train_from_counts",
 ]
-
-#: A labeling is a vector of class ids, one per test item.
-Labeling = np.ndarray
 
 # Accept a reassignment only past this margin, so equal-score labelings can
 # never cycle.
@@ -100,7 +94,7 @@ class TrainingModel:
 
 @dataclass(frozen=True, eq=False)
 class ClassificationResult:
-    """Predicted labeling with its log predictive score.
+    """Predicted labeling (one class id per test item) with its log predictive score.
 
     ``per_item_log[i]`` is item ``i``'s own log factor under the returned
     labeling; the factors sum to ``log_score`` for both classifiers.
@@ -109,12 +103,12 @@ class ClassificationResult:
     classifier (a separate array), ``labeling`` itself for the marginal one.
     """
 
-    labeling: Labeling
+    labeling: np.ndarray
     log_score: float
     per_item_log: np.ndarray
     sweeps: int
     converged: bool
-    start: Labeling
+    start: np.ndarray
 
 
 def counts_by_class(labels: np.ndarray, values: np.ndarray) -> list[SpeciesCounts]:
@@ -165,17 +159,6 @@ def _score_inputs(
     return train_counts, m_c, psi
 
 
-def _class_log_factor(model: TrainingModel, value: int, class_id: int, q: int) -> float:
-    """Log factor of one of ``q`` co-assigned test items holding ``value`` in class ``class_id``."""
-    cm = model.classes[_as_int(class_id, "class id", 0, model.k)]
-    return float(_log_factor(cm.value_counts.count_of(value), q, cm.m_c, cm.psi_hat.psi_hat))
-
-
-def marginal_log_score(model: TrainingModel, item_value: int, class_id: int) -> float:
-    """Log predictive probability of one value under one class's training data."""
-    return _class_log_factor(model, _as_id(item_value), class_id, 1)
-
-
 def _as_test_values(test_values: Sequence[int] | np.ndarray) -> np.ndarray:
     values = _as_ids(test_values)
     if values.ndim != 1 or values.size == 0:
@@ -206,30 +189,6 @@ def classify_marginal(
         converged=True,
         start=labeling,
     )
-
-
-def simultaneous_log_score(
-    model: TrainingModel,
-    test_values: Sequence[int] | np.ndarray,
-    labeling: Labeling,
-    item: int,
-    class_id: int,
-) -> float:
-    """Log factor of one item under the joint predictive score.
-
-    Counts the other test items with item ``item``'s value currently labeled
-    ``class_id``; with no such co-assigned twins this reduces exactly to
-    :func:`marginal_log_score`. Whether the value counts as "seen" depends
-    on the training data only.
-    """
-    values = _as_test_values(test_values)
-    labeling = _as_ids(labeling, "class ids")
-    if labeling.shape != values.shape:
-        raise ValueError("labeling and test values must have the same length")
-    item = _as_int(item, "item index", 0, values.size)
-    twins = (values == values[item]) & (labeling == class_id)
-    n_icl = int(twins.sum()) - int(twins[item])
-    return _class_log_factor(model, values[item], class_id, n_icl + 1)
 
 
 def _greedy_sweeps(

@@ -12,10 +12,11 @@ directly and the rest by asymptotic series, in O(1) time and memory.
 Species identifiers are opaque non-negative integers assigned by ingestion
 code in order of first appearance; no numeric result may depend on their
 values, only on the multiset of frequencies. This module is the package's one
-integer gate: :func:`_as_integers`, :func:`_as_ids` (non-negative ids, labels,
-counts; :func:`_as_id` for one id) and :func:`_as_int` (sizes, seeds, class ids,
-indices, degrees of freedom) are the only conversions of a caller's integers.
-They refuse floats, strings and bools rather than truncate, parse or read them as 0/1.
+integer gate: :func:`_as_integers` (tables, looked-up ids, partition entries),
+:func:`_as_ids` (non-negative ids and labels) and :func:`_as_int` (sizes, seeds,
+sweep counts, degrees of freedom) are the only conversions of a caller's
+integers. They refuse floats, strings and bools rather than truncate, parse or
+read them as 0/1.
 
 All containers are immutable after construction (the arrays of a
 :class:`SpeciesCounts` are read-only) and all operations are pure functions,
@@ -28,7 +29,6 @@ import math
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "SpeciesCounts",
     "esf_log_pmf",
     "expected_distinct",
-    "fisher_information",
     "partition_of",
     "predictive_prob",
 ]
@@ -115,14 +114,6 @@ def _as_ids(values: int | Iterable[int] | np.ndarray, what: str = "species ids")
     if ids.size and ids.min() < 0:
         raise ValueError(f"{what} must be non-negative")
     return ids
-
-
-def _as_id(value: int) -> np.ndarray:
-    """One species id as a 0-d int64 array; a sequence of ids raises ``ValueError``."""
-    species = _as_ids(value)
-    if species.ndim:
-        raise ValueError(f"expected one species id, got a sequence of {species.size}")
-    return species
 
 
 def _as_int(value: int, what: str, low: int = 1, high: int = _ID_LIMIT) -> int:
@@ -253,20 +244,11 @@ class Partition:
 
     def __post_init__(self) -> None:
         n = _as_int(self.n, "sample size")
-        try:
-            # one scan of the entries' types at C speed, with no Python call per pair on
-            # partition_of's path: plain ints are kept, a bool (which operator.index
-            # reads as 0/1) is refused, and others go through operator.index as in _as_int
-            pairs = tuple(map(tuple, self.rho))
-            types = set(map(type, chain.from_iterable(pairs)))
-            if bool in types:
-                raise TypeError
-            if not types <= {int}:
-                pairs = tuple((operator.index(t), operator.index(m)) for t, m in pairs)
-        except TypeError:
-            raise ValueError("abundance entries must be integers") from None
-        previous_t = 0
-        mass = 0
+        entries = _as_integers(self.rho, "abundance entries")
+        if entries.size and (entries.ndim != 2 or entries.shape[1] != 2):
+            raise ValueError("abundance entries must be (t, rho_t) pairs")
+        pairs = tuple(map(tuple, entries.tolist()))
+        previous_t = mass = 0
         for t, m in pairs:
             if t <= previous_t:
                 raise ValueError("abundance entries must have unique ascending t")
@@ -277,16 +259,17 @@ class Partition:
             previous_t = t
             mass += t * m
         if mass != n:
-            raise ValueError(
-                f"invalid partition: sum(t * rho_t) = {mass} but n = {n}"
-            )
+            raise ValueError(f"invalid partition: sum(t * rho_t) = {mass} but n = {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rho", pairs)
 
     @classmethod
     def from_dense(cls, rho: Iterable[int]) -> "Partition":
         """Build from a dense ``(rho_1, rho_2, ...)`` vector; trailing zeros ok."""
-        pairs = tuple((t, m) for t, m in enumerate(rho, start=1) if m != 0)
+        dense = _as_integers(rho, "multiplicities")
+        if dense.ndim != 1:
+            raise ValueError("multiplicities must be a 1-d vector")
+        pairs = tuple((t, m) for t, m in enumerate(dense.tolist(), start=1) if m != 0)
         return cls(n=sum(t * m for t, m in pairs), rho=pairs)
 
     @property
@@ -386,20 +369,6 @@ def expected_distinct(psi: float, n: int) -> float:
     return _distinct_and_slope(_check_psi(psi), _as_int(n, "sample size"))[0]
 
 
-def fisher_information(psi0: float, n: int) -> float:
-    """Fisher information ``sum_i (i-1) / (psi0 (psi0+i-1)^2)`` of a sample of size ``n``.
-
-    Equals ``Var[K_n] / psi0^2``. Strictly positive for ``n >= 2``; a single
-    observation carries no information about ``psi``.
-    """
-    psi0 = _check_psi(psi0)
-    n = _as_int(n, "sample size")
-    if n == 1:
-        raise ValueError("information is zero: test undefined for n=1")
-    # divided twice: psi0 * psi0 underflows to 0 below psi0 = 1e-154
-    return _distinct_and_slope(psi0, n)[1] / psi0 / psi0
-
-
 def esf_log_pmf(rho: Partition, psi: float) -> float:
     """Log probability of an abundance partition under the Ewens sampling formula.
 
@@ -449,5 +418,8 @@ def predictive_prob(
     psi = _check_psi(psi)
     count = 0
     if not isinstance(species, _NewSpecies):
-        count = int(counts.count_of(_as_id(species)))
+        species = _as_ids(species)
+        if species.ndim:
+            raise ValueError(f"expected one species id, got a sequence of {species.size}")
+        count = int(counts.count_of(species))
     return math.exp(_log_factor(count, 1, counts.n, psi))

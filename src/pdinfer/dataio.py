@@ -247,8 +247,11 @@ def write_classification(
     """Write a classification result file (see the module docstring)."""
     labeling = _as_ids(labeling, "class ids")
     contributions = np.asarray(per_item_log, dtype=np.float64).tolist()
-    body = list(map("{}\t{}\t{:.17g}".format, range(labeling.size), labeling.tolist(), contributions))
-    body.append(f"# total_log_score = {log_score:.17g}")
-    body.append(f"# sweeps = {_as_int(sweeps, 'sweeps', 0)}")
-    body.append(f"# converged = {str(bool(converged)).lower()}")
-    _write_v1(path, f"classification n={labeling.size}", metadata, body)
+    # the footer first, so that a bad ``sweeps`` raises before the file is opened
+    footer = [
+        f"# total_log_score = {log_score:.17g}",
+        f"# sweeps = {_as_int(sweeps, 'sweeps', 0)}",
+        f"# converged = {str(bool(converged)).lower()}",
+    ]
+    rows = map("{}\t{}\t{:.17g}".format, range(labeling.size), labeling.tolist(), contributions)
+    _write_v1(path, f"classification n={labeling.size}", metadata, itertools.chain(rows, footer))

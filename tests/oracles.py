@@ -78,25 +78,45 @@ def lr_statistic_from_partitions(samples, per_sample_psi, pooled_psi):
     return max(0.0, 2.0 * (unrestricted - restricted))
 
 
-def greedy_joint_labeling(train_counts, class_sizes, psis, values, max_sweeps=100, eps=1e-12):
-    """Plain greedy ascent of the simultaneous classifier's joint score.
+def _log_factor(train_counts, class_sizes, psis, c, v, q):
+    """Log factor of an item of value ``v`` labeled ``c``, one of ``q`` such items.
 
     ``train_counts[c]`` maps value -> count in class ``c``'s training data,
     ``class_sizes[c]`` is that class's size and ``psis[c]`` its dispersal.
-    An item labeled ``c`` whose value ``v`` has ``q`` items labeled ``c``
-    (itself included) has the factor ``(t + q - 1) / (m + q - 1 + psi)`` if
-    ``t = train_counts[c][v] > 0``, else ``psi / (m + q - 1 + psi)``. Starts
-    from the marginal labeling (``q = 1``, lowest class on ties), visits the
-    items in input order and moves one to the class that raises the joint
-    score most, if by more than ``eps``. Returns the labels, the sweep count,
-    whether the last sweep moved nothing, and each item's log factor.
+    The factor is ``(t + q - 1) / (m + q - 1 + psi)`` if
+    ``t = train_counts[c][v] > 0``, else ``psi / (m + q - 1 + psi)``.
+    """
+    t = train_counts[c].get(v, 0)
+    numerator = t + q - 1 if t > 0 else psis[c]
+    return math.log(numerator) - math.log(class_sizes[c] + q - 1 + psis[c])
+
+
+def joint_log_score(train_counts, class_sizes, psis, values, labels):
+    """The simultaneous classifier's joint log score: every item's log factor, summed.
+
+    An item's ``q`` counts the items of its value with its label, itself
+    included; the arguments are those of :func:`_log_factor`.
+    """
+    size = Counter(zip(labels, values))
+    return sum(
+        _log_factor(train_counts, class_sizes, psis, c, v, size[c, v])
+        for c, v in zip(labels, values)
+    )
+
+
+def greedy_joint_labeling(train_counts, class_sizes, psis, values, max_sweeps=100, eps=1e-12):
+    """Plain greedy ascent of :func:`joint_log_score`.
+
+    Starts from the marginal labeling (``q = 1``, lowest class on ties),
+    visits the items in input order and moves one to the class that raises
+    the joint score most, if by more than ``eps``. Returns the labels, the
+    sweep count, whether the last sweep moved nothing, and each item's log
+    factor.
     """
     k = len(psis)
 
     def log_factor(c, v, q):
-        t = train_counts[c].get(v, 0)
-        numerator = t + q - 1 if t > 0 else psis[c]
-        return math.log(numerator) - math.log(class_sizes[c] + q - 1 + psis[c])
+        return _log_factor(train_counts, class_sizes, psis, c, v, q)
 
     def group_term(c, v, q):  # the q co-assigned items' share of the joint score
         return q * log_factor(c, v, q) if q else 0.0

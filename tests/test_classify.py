@@ -14,15 +14,14 @@ from pdinfer import (
     classify_simultaneous,
     counts_by_class,
     derive_seeds,
-    marginal_log_score,
     sample_labeled_dataset,
     sample_sequence,
-    simultaneous_log_score,
     train,
     train_from_counts,
 )
+from pdinfer.core import _log_factor
 
-from oracles import greedy_joint_labeling
+from oracles import greedy_joint_labeling, joint_log_score
 
 SQRT2 = math.sqrt(2.0)
 
@@ -43,14 +42,31 @@ def moving_case():
     return model, sample_sequence(UrnConfig(8.0, 300, 23)).values
 
 
-def _assert_matches_plain_greedy(model, values, max_sweeps=100):
-    labels, sweeps, converged, per_item_log = greedy_joint_labeling(
+def _oracle_model(model):
+    """A training model as the oracles' ``(train_counts, class_sizes, psis)``."""
+    return (
         [dict(zip(cm.value_counts.ids.tolist(), cm.value_counts.counts.tolist()))
          for cm in model.classes],
         [cm.m_c for cm in model.classes],
         [cm.psi_hat.psi_hat for cm in model.classes],
-        np.asarray(values).tolist(),
-        max_sweeps,
+    )
+
+
+def _marginal_oracle(model, values):
+    """The oracle's label and log factor of each item classified alone (``q = 1``)."""
+    alone = [greedy_joint_labeling(*_oracle_model(model), [v], 0) for v in values]
+    return [labels[0] for labels, _, _, _ in alone], [logs[0] for _, _, _, logs in alone]
+
+
+def _class_factor(model, value, class_id, q):
+    """``core._log_factor`` of one of ``q`` co-assigned items of ``value`` in a trained class."""
+    cm = model.classes[class_id]
+    return _log_factor(cm.value_counts.count_of(value), q, cm.m_c, cm.psi_hat.psi_hat)
+
+
+def _assert_matches_plain_greedy(model, values, max_sweeps=100):
+    labels, sweeps, converged, per_item_log = greedy_joint_labeling(
+        *_oracle_model(model), np.asarray(values).tolist(), max_sweeps
     )
     result = classify_simultaneous(model, values)
     assert result.labeling.tolist() == labels
@@ -98,26 +114,15 @@ class TestMarginalLogScore:
         model = train_from_counts([SpeciesCounts([0, 1], [3, 1]), SpeciesCounts([0], [4])])
         psi0 = model.classes[0].psi_hat.psi_hat
         np.testing.assert_allclose(
-            marginal_log_score(model, 0, 0), math.log(3.0 / (4.0 + psi0)), rtol=1e-14
+            _class_factor(model, 0, 0, 1), math.log(3.0 / (4.0 + psi0)), rtol=1e-14
         )
 
     def test_unseen_value(self):
         model = train_from_counts([SpeciesCounts([0, 1], [3, 1]), SpeciesCounts([0], [4])])
         psi0 = model.classes[0].psi_hat.psi_hat
         np.testing.assert_allclose(
-            marginal_log_score(model, 9, 0), math.log(psi0 / (4.0 + psi0)), rtol=1e-14
+            _class_factor(model, 9, 0, 1), math.log(psi0 / (4.0 + psi0)), rtol=1e-14
         )
-
-    @pytest.mark.parametrize("class_id", [-1, 2])
-    def test_class_id_out_of_range(self, hand_model, class_id):
-        # both sides of 0..k-1: -1 would silently index the last class
-        with pytest.raises(ValueError, match="class id"):
-            marginal_log_score(hand_model, 0, class_id)
-
-    def test_float_value_rejected(self, hand_model):
-        # 1.7 was truncated and scored as value 1
-        with pytest.raises(ValueError, match="integers"):
-            marginal_log_score(hand_model, 1.7, 0)
 
     def test_unseen_everywhere_goes_to_highest_dispersal(self):
         # equal class sizes; value unseen in every class
@@ -140,12 +145,9 @@ class TestClassifyMarginal:
         result = classify_marginal(hand_model, values)
         np.testing.assert_allclose(result.log_score, result.per_item_log.sum())
         assert result.log_score <= 0.0
-        for i, value in enumerate(values):
-            np.testing.assert_allclose(
-                result.per_item_log[i],
-                marginal_log_score(hand_model, value, result.labeling[i]),
-                rtol=1e-14,
-            )
+        labels, factors = _marginal_oracle(hand_model, values)
+        assert result.labeling.tolist() == labels
+        np.testing.assert_allclose(result.per_item_log, factors, rtol=1e-14)
 
     def test_item_order_invariance(self, hand_model):
         values = np.array([0, 2, 1, 2, 0, 1])
@@ -183,26 +185,23 @@ class TestClassifyMarginal:
 
 class TestSimultaneousLogScore:
     def test_no_twins_reduces_to_marginal(self, hand_model):
-        # all values distinct, so no item has a co-assigned twin anywhere
-        values = np.array([0, 1, 2])
-        labeling = np.array([0, 1, 1])
-        for item in range(3):
-            for class_id in range(2):
-                np.testing.assert_allclose(
-                    simultaneous_log_score(hand_model, values, labeling, item, class_id),
-                    marginal_log_score(hand_model, values[item], class_id),
-                    rtol=1e-14,
-                )
+        # all values distinct, so no item has a co-assigned twin under any labeling
+        values = [0, 1, 2]
+        joint = classify_simultaneous(hand_model, values)
+        labels, factors = _marginal_oracle(hand_model, values)
+        assert joint.labeling.tolist() == labels
+        np.testing.assert_allclose(joint.per_item_log, factors, rtol=1e-14)
+        np.testing.assert_allclose(
+            joint.per_item_log, classify_marginal(hand_model, values).per_item_log, rtol=1e-14
+        )
 
     def test_seen_value_with_twins(self):
         # training counts {a:3, b:1}: two co-assigned twins give
         # (3+2) / (4+2+psi)
         model = train_from_counts([SpeciesCounts([0, 1], [3, 1]), SpeciesCounts([0], [4])])
         psi0 = model.classes[0].psi_hat.psi_hat
-        values = np.array([0, 0, 0])
-        labeling = np.array([0, 0, 0])
         np.testing.assert_allclose(
-            simultaneous_log_score(model, values, labeling, 0, 0),
+            _class_factor(model, 0, 0, 3),
             math.log((3.0 + 2.0) / (4.0 + 2.0 + psi0)),
             rtol=1e-14,
         )
@@ -210,12 +209,10 @@ class TestSimultaneousLogScore:
     def test_unseen_value_with_twin(self):
         model = train_from_counts([SpeciesCounts([0, 1], [3, 1]), SpeciesCounts([0], [4])])
         psi0 = model.classes[0].psi_hat.psi_hat
-        values = np.array([9, 9])
-        labeling = np.array([0, 0])
         # unseen branch keeps psi in the numerator; the twin only enters
         # the denominator
         np.testing.assert_allclose(
-            simultaneous_log_score(model, values, labeling, 0, 0),
+            _class_factor(model, 9, 0, 2),
             math.log(psi0 / (4.0 + 1.0 + psi0)),
             rtol=1e-14,
         )
@@ -241,33 +238,24 @@ class TestClassifySimultaneous:
         joint = classify_simultaneous(model, test_values)
 
         def joint_score(labeling):
-            return sum(
-                simultaneous_log_score(model, test_values, labeling, i, labeling[i])
-                for i in range(len(test_values))
+            return joint_log_score(
+                *_oracle_model(model), test_values.tolist(), labeling.tolist()
             )
 
         initial = joint_score(marginal.labeling)
         final = joint_score(joint.labeling)
         assert final >= initial - 1e-9
-        # every returned per-item factor is the public per-item score
-        np.testing.assert_allclose(
-            joint.per_item_log,
-            [
-                simultaneous_log_score(model, test_values, joint.labeling, i, label)
-                for i, label in enumerate(joint.labeling)
-            ],
-            rtol=1e-12,
+        # every returned per-item factor is the oracle's
+        labels, _, _, per_item_log = greedy_joint_labeling(
+            *_oracle_model(model), test_values.tolist()
         )
-        np.testing.assert_allclose(
-            marginal.per_item_log,
-            [
-                marginal_log_score(model, value, label)
-                for value, label in zip(test_values, marginal.labeling)
-            ],
-            rtol=1e-12,
-        )
-        # the grouped sweep engine and the public per-item factor op must
-        # agree on the final score
+        assert joint.labeling.tolist() == labels
+        np.testing.assert_allclose(joint.per_item_log, per_item_log, rtol=1e-12)
+        labels, factors = _marginal_oracle(model, test_values.tolist())
+        assert marginal.labeling.tolist() == labels
+        np.testing.assert_allclose(marginal.per_item_log, factors, rtol=1e-12)
+        # the grouped sweep engine and the oracle's joint score must agree on
+        # the final score
         np.testing.assert_allclose(joint.log_score, final, atol=1e-8)
         np.testing.assert_allclose(
             joint.log_score, joint.per_item_log.sum(), atol=1e-8
@@ -297,18 +285,10 @@ class TestClassifySimultaneous:
 
     def test_sweep_cap_reports_not_converged(self, monkeypatch, moving_case):
         model, values = moving_case
-        free = classify_simultaneous(model, values)
+        free = _assert_matches_plain_greedy(model, values)
         # the first sweep moved items away from the marginal labeling
         assert free.converged and free.sweeps == 2
         assert (free.labeling != classify_marginal(model, values).labeling).any()
-        np.testing.assert_allclose(
-            free.per_item_log,
-            [
-                simultaneous_log_score(model, values, free.labeling, i, label)
-                for i, label in enumerate(free.labeling)
-            ],
-            rtol=1e-12,
-        )
         monkeypatch.setattr(classify_module, "_MAX_SWEEPS", 1)
         capped = classify_simultaneous(model, values)
         assert capped.sweeps == 1 and not capped.converged

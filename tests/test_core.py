@@ -17,7 +17,6 @@ from pdinfer import (
     SpeciesCounts,
     esf_log_pmf,
     expected_distinct,
-    fisher_information,
     partition_of,
     predictive_prob,
 )
@@ -240,6 +239,27 @@ class TestPartition:
         p = Partition.from_dense([1, 1, 0])
         assert p.n == 3 and p.k_obs == 2
 
+    def test_dense_errors_name_the_multiplicities(self):
+        # a float used to be reported as the sample size it summed to
+        with pytest.raises(ValueError, match="multiplicities must be integers"):
+            Partition.from_dense([1.0])
+        with pytest.raises(ValueError, match="multiplicities must be a 1-d vector"):
+            Partition.from_dense([[1, 1]])
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (((1, 1, 1),), "must be \\(t, rho_t\\) pairs"),
+            (((1, 3), (2,)), "integers"),
+            (((1, 2**64),), "64-bit"),
+            ("13", "integers"),
+        ],
+        ids=["triple", "ragged", "past-int64", "string"],
+    )
+    def test_entries_go_through_the_gate(self, rho, message):
+        with pytest.raises(ValueError, match=message):
+            Partition(n=3, rho=rho)
+
     @pytest.mark.parametrize(
         "counts",
         [
@@ -384,17 +404,21 @@ class TestSumPaths:
             i = np.arange(1, n, dtype=np.float64)
             for psi in self.PSIS:
                 direct = (i / (psi * (psi + i) ** 2)).sum()
-                np.testing.assert_allclose(fisher_information(psi, n), direct, rtol=1e-9)
+                np.testing.assert_allclose(
+                    _distinct_and_slope(psi, n)[1], psi * psi * direct, rtol=1e-9
+                )
 
     @pytest.mark.parametrize("psi", [5e-324, 1e-310, 1e-200])
     def test_closed_forms_below_digamma_overflow(self, psi):
         # psi near the smallest doubles, where digamma(psi) would be -inf
         # (below 5.6e-309); E = 1 + psi H and I = H / psi with
-        # H = sum_{j=1..n-1} 1/j = 15.08 at this n
+        # H = sum_{j=1..n-1} 1/j = 14.39 at this n
         n = 1_000_001
         harmonic = math.fsum(1.0 / j for j in range(1, n))
         assert expected_distinct(psi, n) == 1.0 + psi * harmonic
-        assert fisher_information(psi, n) == pytest.approx(harmonic / psi, rel=1e-12)
+        # the information V / psi^2; at the two subnormal psi both sides are inf
+        variance = _distinct_and_slope(psi, n)[1]
+        assert variance / psi / psi == pytest.approx(harmonic / psi, rel=1e-12)
 
     @pytest.mark.parametrize("psi", [1e8, 1e10])
     def test_log_rising_factorial_at_large_psi(self, psi):
@@ -418,7 +442,9 @@ class TestSumPaths:
         expected = chunked_fsum(lambda j: psi / (psi + j), n)
         information = chunked_fsum(lambda j: j / (psi * (psi + j) ** 2), n)
         np.testing.assert_allclose(expected_distinct(psi, n), expected, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(fisher_information(psi, n), information, rtol=1e-11)
+        np.testing.assert_allclose(
+            _distinct_and_slope(psi, n)[1], psi * psi * information, rtol=1e-11
+        )
 
     @pytest.mark.parametrize("psi, n", [(1e6, 100), (1e8, 10_000), (1e10, 1_000_000)])
     def test_variance_power_sums_to_rounding(self, psi, n):

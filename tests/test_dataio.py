@@ -1,6 +1,7 @@
 """Tests for the dataset and result text formats."""
 
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -291,3 +292,23 @@ class TestClassificationWriter:
         records = [line for line in lines if not line.startswith("#")]
         assert records[0].split("\t")[:2] == ["0", "2"]
         assert records[1].split("\t")[:2] == ["1", "0"]
+
+    def test_bad_sweeps_leaves_no_file(self, tmp_path):
+        path = tmp_path / "result.tsv"
+        with pytest.raises(ValueError, match="sweeps"):
+            write_classification(path, np.array([0]), np.array([-1.0]), -1.0, 1.5, True)
+        assert not path.exists()
+
+    def test_memory(self, tmp_path):
+        # the rows are formatted a batch at a time, never held as one list of
+        # lines: the peak is the label and float lists plus one batch
+        n = 200_000
+        labeling = np.arange(n) % 3
+        per_item_log = -np.linspace(0.5, 5.0, n)
+        tracemalloc.start()
+        try:
+            write_classification(tmp_path / "result.tsv", labeling, per_item_log, -1.0, 2, True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * n

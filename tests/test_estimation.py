@@ -15,7 +15,6 @@ from pdinfer import (
     UrnConfig,
     derive_seeds,
     expected_distinct,
-    fisher_information,
     fit_psi,
     fit_psi_pooled,
     lr_test,
@@ -69,7 +68,10 @@ class TestExpectedDistinct:
         if n == 1:
             assert slope == 0.0
         else:
-            np.testing.assert_allclose(slope, psi**2 * fisher_information(psi, n), rtol=1e-12)
+            # psi^2 times the information sum_i i / (psi (psi + i)^2), 0 < i < n
+            i = np.arange(1, n, dtype=np.float64)
+            direct = (i / (psi * (psi + i) ** 2)).sum()
+            np.testing.assert_allclose(slope, psi * psi * direct, rtol=1e-12)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

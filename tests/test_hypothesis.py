@@ -13,7 +13,6 @@ from pdinfer import (
     UrnConfig,
     chi_square_sf,
     derive_seeds,
-    fisher_information,
     fit_psi,
     lm_test,
     lr_test,
@@ -21,6 +20,7 @@ from pdinfer import (
     sample_sequence,
     score_U,
 )
+from pdinfer.core import _distinct_and_slope
 
 from oracles import lr_statistic_from_partitions
 
@@ -49,25 +49,28 @@ class TestScoreU:
 
 
 class TestFisherInformation:
+    """The score test's ``Var[K_n]``, which is ``psi^2`` times the Fisher information."""
+
     def test_hand_values(self):
-        np.testing.assert_allclose(fisher_information(1.0, 2), 0.25, rtol=1e-14)
-        np.testing.assert_allclose(fisher_information(2.0, 3), 17 / 144, rtol=1e-14)
+        # information 1/4 at (psi, n) = (1, 2) and 17/144 at (2, 3)
+        np.testing.assert_allclose(_distinct_and_slope(1.0, 2)[1], 1.0 * 0.25, rtol=1e-14)
+        np.testing.assert_allclose(_distinct_and_slope(2.0, 3)[1], 4.0 * 17 / 144, rtol=1e-14)
 
     def test_n1_undefined(self):
         with pytest.raises(ValueError, match="test undefined for n=1"):
-            fisher_information(1.0, 1)
+            lm_test(Partition.from_dense([1]), 1.0)
 
     def test_strictly_positive(self):
         for psi in (0.01, 1.0, 50.0, 1e4):
             for n in (2, 3, 17, 500):
-                assert fisher_information(psi, n) > 0.0
+                assert _distinct_and_slope(psi, n)[1] > 0.0
 
 
 EXTREME_PSI0 = [5e-324, 1e-200, 1e-160, 1e103, 1e200, 1.7e308]
 
 
 class TestExtremePsi0:
-    """The score test and the information at psi0 near the ends of the doubles.
+    """The score test and its ``Var[K_n]`` at psi0 near the ends of the doubles.
 
     Warnings are errors in this suite, so an overflow or underflow warning
     fails these tests as well as a wrong value does.
@@ -91,13 +94,7 @@ class TestExtremePsi0:
     @pytest.mark.parametrize("psi0", EXTREME_PSI0)
     def test_information_defined(self, psi0):
         for n in (2, 5, 500):
-            assert fisher_information(psi0, n) >= 0.0
-
-    def test_information_below_psi0_squared_underflow(self):
-        # sum_{j=1..4} 1/j / psi0, with psi0^2 = 1e-320 a subnormal
-        np.testing.assert_allclose(
-            fisher_information(1e-160, 5), 25 / 12 * 1e160, rtol=1e-12
-        )
+            assert _distinct_and_slope(psi0, n)[1] >= 0.0
 
 
 class TestChiSquareSf:

@@ -17,14 +17,13 @@ from pdinfer import (
     SpeciesCounts,
     UrnConfig,
     chi_square_sf,
+    classify_marginal,
+    classify_simultaneous,
     derive_seeds,
     expected_distinct,
-    fisher_information,
-    marginal_log_score,
     predictive_prob,
     read_dataset,
     sample_labeled_dataset,
-    simultaneous_log_score,
     train,
     train_from_counts,
     write_dataset,
@@ -58,20 +57,12 @@ REFUSED = {
     "predictive_prob-list": (lambda p: predictive_prob(COUNTS, 1.0, [1, 2]), "one species id"),
     "partition-bool-multiplicity": (lambda p: Partition(n=3, rho=((1, True), (2, 1))), "integers"),
     "partition-bool-abundance": (lambda p: Partition(n=2, rho=((True, 2),)), "integers"),
+    "partition-dense-float": (lambda p: Partition.from_dense([1.0]), "multiplicities"),
     "generated-float-values": (lambda p: GeneratedSequence(np.array([0.0, 1.5]), 1), "integers"),
     "generated-negative": (lambda p: GeneratedSequence(np.array([0, -1]), 1), "non-negative"),
-    "marginal-float-class": (lambda p: marginal_log_score(MODEL, 1, 0.5), "integer"),
-    "marginal-bool-value": (lambda p: marginal_log_score(MODEL, True, 0), "integers"),
-    "marginal-negative-value": (lambda p: marginal_log_score(MODEL, -1, 0), "non-negative"),
-    "marginal-list-value": (lambda p: marginal_log_score(MODEL, [1, 2], 0), "one species id"),
-    "marginal-2d-value": (
-        lambda p: marginal_log_score(MODEL, np.array([[1, 2]]), 0), "one species id"),
-    "simultaneous-float-labeling": (
-        lambda p: simultaneous_log_score(MODEL, TEST_VALUES, [0.0, 1.0, 1.5], 0, 0), "integers"),
-    "simultaneous-float-item": (
-        lambda p: simultaneous_log_score(MODEL, TEST_VALUES, [0, 1, 1], 0.5, 0), "integer"),
-    "simultaneous-float-class": (
-        lambda p: simultaneous_log_score(MODEL, TEST_VALUES, [0, 1, 1], 0, 0.5), "integer"),
+    "marginal-bool-value": (lambda p: classify_marginal(MODEL, [True, 2]), "integers"),
+    "marginal-negative-value": (lambda p: classify_marginal(MODEL, [-1, 2]), "non-negative"),
+    "marginal-2d-value": (lambda p: classify_marginal(MODEL, np.array([[1, 2]])), "1-d"),
     "write-negative": (lambda p: write_dataset(p / "d.tsv", [-1, 2]), "non-negative"),
     "write-float": (lambda p: write_dataset(p / "d.tsv", [1.5]), "integers"),
     "write-uint64-past-int64": (
@@ -79,7 +70,6 @@ REFUSED = {
     "write-float-labels": (
         lambda p: write_dataset(p / "d.tsv", [0, 1], labels=[0.5, 1]), "integers"),
     "expected_distinct-float-n": (lambda p: expected_distinct(1.0, 10.7), "integer"),
-    "fisher_information-float-n": (lambda p: fisher_information(1.0, 10.5), "integer"),
     "expected_distinct-uint64-past-int64": (
         lambda p: expected_distinct(1.0, np.uint64(2**63)), "below 9223372036854775808"),
     "urn-float-length-and-seed": (lambda p: UrnConfig(1.0, 10.7, 3.9), "integer"),
@@ -131,6 +121,9 @@ ACCEPTED = {
     "partition-numpy-ints": (
         lambda p: Partition(n=np.int64(3), rho=((np.int8(1), np.uint64(1)), (2, np.int32(1)))),
         Partition(n=3, rho=((1, 1), (2, 1)))),
+    "partition-dense-small-dtype": (
+        lambda p: Partition.from_dense(np.array([1, 1], np.uint8)),
+        Partition(n=3, rho=((1, 1), (2, 1)))),
     "generated-list": (
         lambda p: GeneratedSequence([0, 1, 0], 1).counts, SpeciesCounts([0, 1], [2, 1])),
     "generated-int8": (
@@ -139,13 +132,9 @@ ACCEPTED = {
         lambda p: [c.value_counts for c in train(np.array([0, 0, 1, 1], np.uint8),
                                                  np.array([1, 1, 2, 3], np.uint64)).classes],
         [SpeciesCounts([1], [2]), SpeciesCounts([2, 3], [1, 1])]),
-    "marginal-numpy-scalars": (
-        lambda p: marginal_log_score(MODEL, np.uint64(2), np.int8(1)),
-        marginal_log_score(MODEL, 2, 1)),
     "simultaneous-small-dtypes": (
-        lambda p: simultaneous_log_score(MODEL, np.array(TEST_VALUES, np.int16),
-                                         np.array([0, 1, 1], np.uint8), np.int64(1), np.uint8(1)),
-        simultaneous_log_score(MODEL, TEST_VALUES, [0, 1, 1], 1, 1)),
+        lambda p: classify_simultaneous(MODEL, np.array(TEST_VALUES, np.uint8)).labeling.tolist(),
+        classify_simultaneous(MODEL, TEST_VALUES).labeling.tolist()),
     "write-uint64-int8": (
         lambda p: written(p, np.array([2**63 - 1, 0], np.uint64), np.array([1, 0], np.int8)),
         ([2**63 - 1, 0], [1, 0])),
@@ -156,8 +145,8 @@ ACCEPTED = {
     "derive_seeds-numpy-scalars": (
         lambda p: derive_seeds(np.uint64(5), np.int8(2)), derive_seeds(5, 2)),
     "sums-numpy-scalars": (
-        lambda p: (expected_distinct(1.0, np.int64(10)), fisher_information(1.0, np.uint16(10))),
-        (expected_distinct(1.0, 10), fisher_information(1.0, 10))),
+        lambda p: (expected_distinct(1.0, np.int64(10)), expected_distinct(1.0, np.uint16(10))),
+        (expected_distinct(1.0, 10), expected_distinct(1.0, 10))),
     "labeled-dataset-numpy-size": (
         lambda p: sample_labeled_dataset([1.0, 2.0], np.int32(3), np.uint8(1))[1].tolist(),
         sample_labeled_dataset([1.0, 2.0], 3, 1)[1].tolist()),
