@@ -17,10 +17,10 @@ usage error. ``--per-class`` and ``--score-against-truth`` optionally take
 true/false/yes/no/1/0.
 
 Exit codes: 0 success (warnings allowed; each degenerate fit adds one
-``pd-infer: warning: ...`` line on stderr), 1 usage error (including
-``experiment --workers`` below 1, a ``--memory-cap-gb`` whose byte count is
-not finite, from about 1.7e299 up, and a study whose estimated memory, which
-grows with ``--replicates``, exceeds the cap), 2 data/parse error (including
+``pd-infer: warning: ...`` line on stderr), 1 usage error (including any
+``experiment --workers`` other than 1, a ``--memory-cap-gb`` whose byte count
+is not finite, from about 1.7e299 up, and a study whose estimated memory,
+which grows with ``--replicates``, exceeds the cap), 2 data/parse error (including
 a dataset with no records, a file that is not UTF-8 and class ids that are
 not contiguous), 3 numeric/degeneracy error or out of memory (one line on
 stderr, no traceback).
@@ -300,7 +300,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             master_seed=args.seed,
             output_path=Path(args.out),
             memory_cap_bytes=args.memory_cap_bytes,
-            workers=args.workers,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -364,8 +363,8 @@ def build_parser() -> _Parser:
     p_exp.add_argument("--out", required=True, help="output directory")
     p_exp.add_argument("--memory-cap-gb", type=_gib_to_bytes, default="2.0",
                        dest="memory_cap_bytes")
-    p_exp.add_argument("--workers", type=int, default=None,
-                       help="parallel replicate workers, at least 1 (default: hardware threads)")
+    p_exp.add_argument("--workers", type=int, choices=(1,),
+                       help="accepted only as 1: the study runs in one process")
 
     return parser
 

@@ -246,12 +246,17 @@ def write_classification(
 ) -> None:
     """Write a classification result file (see the module docstring)."""
     labeling = _as_ids(labeling, "class ids")
-    contributions = np.asarray(per_item_log, dtype=np.float64).tolist()
+    contributions = np.asarray(per_item_log, dtype=np.float64)
     # the footer first, so that a bad ``sweeps`` raises before the file is opened
     footer = [
         f"# total_log_score = {log_score:.17g}",
         f"# sweeps = {_as_int(sweeps, 'sweeps', 0)}",
         f"# converged = {str(bool(converged)).lower()}",
     ]
-    rows = map("{}\t{}\t{:.17g}".format, range(labeling.size), labeling.tolist(), contributions)
+    # one batch of items at a time becomes Python numbers and lines
+    rows = itertools.chain.from_iterable(
+        map("{}\t{}\t{:.17g}".format, range(i, i + _WRITE_BATCH),
+            labeling[i : i + _WRITE_BATCH].tolist(), contributions[i : i + _WRITE_BATCH].tolist())
+        for i in range(0, labeling.size, _WRITE_BATCH)
+    )
     _write_v1(path, f"classification n={labeling.size}", metadata, itertools.chain(rows, footer))

@@ -17,9 +17,6 @@ clamped value like any other class.
 
 from __future__ import annotations
 
-import functools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,8 +51,6 @@ class ExperimentSpec:
     ``m // k`` items, and each class contributes ``test_size // k`` test
     items. All randomness derives from ``master_seed``. A spec whose
     estimated working memory exceeds ``memory_cap_bytes`` is refused.
-    Replicates run on ``workers`` processes (at least 1; ``None`` means
-    ``os.cpu_count()``).
     """
 
     psis: tuple[float, ...]
@@ -65,7 +60,6 @@ class ExperimentSpec:
     master_seed: int
     output_path: Path
     memory_cap_bytes: int = 2 * 2**30
-    workers: int | None = None
 
     def __post_init__(self) -> None:
         psis = tuple(_check_psi(p) for p in self.psis)
@@ -79,8 +73,6 @@ class ExperimentSpec:
         object.__setattr__(self, "training_sizes", sizes)
         object.__setattr__(self, "test_size", _as_int(self.test_size, "test size", len(psis)))
         object.__setattr__(self, "replicates", _as_int(self.replicates, "replicates"))
-        if self.workers is not None:
-            object.__setattr__(self, "workers", _as_int(self.workers, "workers"))
         object.__setattr__(self, "master_seed", _check_seed(self.master_seed))
         object.__setattr__(self, "output_path", Path(self.output_path))
         estimated = self.estimated_memory_bytes()
@@ -102,10 +94,9 @@ class ExperimentSpec:
         # generation temporaries: an urn draw peaks at 25 bytes per observation
         # (three length-n buffers and the new/old flags; tracemalloc at n = 1e5, psi = 10)
         transient = 48 * max(pool_per_class, test_per_class)
-        # kept for the whole run, per replicate: its seed block and pending result
-        # (measured at 0.6 KB serially, 2 KB on the process pool), 2k derived
-        # seeds and one metrics row per training size (measured at about 22
-        # and 233 bytes; 64 and 512 bound them)
+        # kept for the whole run, per replicate: its seed block and metrics list (2 KB budget),
+        # 2k derived seeds and one row per training size (about 22 and 233 bytes; 64 and
+        # 512 bound them). The serial tracemalloc slope is 1.1-2.6 KB per replicate
         per_replicate = 2048 + 64 * 2 * self.k + 512 * len(self.training_sizes)
         return 2 * (stored + transient) + self.replicates * per_replicate
 
@@ -180,20 +171,13 @@ def _metadata(spec: ExperimentSpec) -> dict[str, object]:
 def run_convergence_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
     """Run the study, write its output files, and return the summary rows.
 
-    Deterministic given ``master_seed``, regardless of the parallelism
-    degree.
+    Replicates run in order in the calling process; deterministic given ``master_seed``.
     """
     block = 2 * spec.k
     seeds = derive_seeds(spec.master_seed, spec.replicates * block)
-    seed_blocks = [seeds[r * block : (r + 1) * block] for r in range(spec.replicates)]
-    replicate = functools.partial(_replicate_metrics, spec)
-
-    workers = min(spec.workers or os.cpu_count() or 1, spec.replicates)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_replicate = list(pool.map(replicate, seed_blocks))
-    else:
-        per_replicate = list(map(replicate, seed_blocks))
+    per_replicate = [
+        _replicate_metrics(spec, seeds[r * block : (r + 1) * block]) for r in range(spec.replicates)
+    ]
 
     # per_replicate[r][j] = (err_m, err_s, dis) at training_sizes[j]
     stacked = np.array(per_replicate)  # (replicates, sizes, 3)

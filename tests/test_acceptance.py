@@ -157,7 +157,6 @@ def convergence_rows(tmp_path_factory):
         replicates=10,
         master_seed=MASTER_SEED,
         output_path=tmp_path_factory.mktemp("acceptance-experiment"),
-        workers=1,
     )
     return run_convergence_experiment(spec)
 
@@ -222,7 +221,6 @@ def test_two_class_indistinguishable(tmp_path):
         replicates=100,
         master_seed=MASTER_SEED,
         output_path=tmp_path / "two-class",
-        workers=1,
     )
     row = run_convergence_experiment(spec)[0]
     ok = 0.45 <= row.err_marginal <= 0.55 and 0.45 <= row.err_simultaneous <= 0.55

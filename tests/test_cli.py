@@ -440,15 +440,25 @@ class TestManifest:
 
 class TestExperimentCommand:
     def test_runs_and_writes(self, tmp_path, capsys):
-        out_dir = tmp_path / "exp"
-        code, stdout, _ = run(
-            capsys, "experiment", "--psis", "1,20", "--training-sizes", "60,240",
-            "--test-size", "120", "--replicates", "2", "--seed", "21",
-            "--out", str(out_dir), "--workers", "1",
-        )
+        argv = ["experiment", "--psis", "1,20", "--training-sizes", "60,240",
+                "--test-size", "120", "--replicates", "2", "--seed", "21"]
+        # the benchmark's argv shape still passes --workers 1, which changes nothing
+        code, stdout, _ = run(capsys, *argv, "--out", str(tmp_path / "one"), "--workers", "1")
         assert code == EXIT_OK
-        assert (out_dir / "summary.tsv").exists()
         assert "err_marginal" in stdout
+        assert run(capsys, *argv, "--out", str(tmp_path / "plain"))[0] == EXIT_OK
+        names = sorted(path.name for path in (tmp_path / "plain").iterdir())
+        assert "summary.tsv" in names and len(names) == 5
+        for name in names:
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+    def test_workers_other_than_one_usage_error(self, tmp_path, capsys):
+        code, _, stderr = run(
+            capsys, "experiment", "--out", str(tmp_path / "exp"), "--workers", "2",
+        )
+        assert code == EXIT_USAGE
+        assert "--workers" in stderr
+        assert not (tmp_path / "exp").exists()
 
     def test_memory_cap_refusal(self, tmp_path, capsys):
         code, _, stderr = run(

@@ -20,7 +20,7 @@ from pdinfer import (
     partition_of,
     predictive_prob,
 )
-from pdinfer.core import _BINCOUNT_MAX_COUNT, _distinct_and_slope, _log_rising_factorial
+from pdinfer.core import _BINCOUNT_MAX_COUNT, _HEAD, _distinct_and_slope, _log_rising_factorial
 
 from oracles import esf_prob_exact, integer_partitions
 
@@ -416,9 +416,12 @@ class TestSumPaths:
         n = 1_000_001
         harmonic = math.fsum(1.0 / j for j in range(1, n))
         assert expected_distinct(psi, n) == 1.0 + psi * harmonic
-        # the information V / psi^2; at the two subnormal psi both sides are inf
+        # Var[K_n] = psi H to first order, checked as V itself: the information
+        # V / psi^2 overflows at the two subnormal psi. At psi = 5e-324 each head
+        # term rounds to a subnormal step on its own (V reads 5.4e-323 against
+        # 7.2e-323), so up to _HEAD steps of 5e-324 are allowed
         variance = _distinct_and_slope(psi, n)[1]
-        assert variance / psi / psi == pytest.approx(harmonic / psi, rel=1e-12)
+        assert variance == pytest.approx(psi * harmonic, rel=1e-12, abs=_HEAD * 5e-324)
 
     @pytest.mark.parametrize("psi", [1e8, 1e10])
     def test_log_rising_factorial_at_large_psi(self, psi):

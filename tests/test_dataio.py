@@ -300,8 +300,8 @@ class TestClassificationWriter:
         assert not path.exists()
 
     def test_memory(self, tmp_path):
-        # the rows are formatted a batch at a time, never held as one list of
-        # lines: the peak is the label and float lists plus one batch
+        # the rows are formatted a slice of the arrays at a time, never held
+        # as one list of lines or numbers: the peak is one batch
         n = 200_000
         labeling = np.arange(n) % 3
         per_item_log = -np.linspace(0.5, 5.0, n)
@@ -311,4 +311,4 @@ class TestClassificationWriter:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * n
+        assert peak < 24 * n

@@ -1,10 +1,14 @@
 """Tests for the convergence-study harness."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdinfer
 import pdinfer.classify as classify_module
 from pdinfer import ExperimentSpec, __version__, run_convergence_experiment
 
@@ -17,7 +21,6 @@ def small_spec(tmp_path, **overrides):
         replicates=3,
         master_seed=77,
         output_path=tmp_path / "out",
-        workers=1,
     )
     kwargs.update(overrides)
     return ExperimentSpec(**kwargs)
@@ -35,8 +38,6 @@ class TestExperimentSpec:
             small_spec(tmp_path, replicates=0)
         with pytest.raises(ValueError):
             small_spec(tmp_path, test_size=1)
-        with pytest.raises(ValueError):
-            small_spec(tmp_path, workers=0)
 
     def test_memory_guard(self, tmp_path):
         with pytest.raises(ValueError, match="memory"):
@@ -47,6 +48,20 @@ class TestExperimentSpec:
         # default 2 GiB cap; only the spec is built, so nothing is allocated
         with pytest.raises(ValueError, match="memory"):
             small_spec(tmp_path, replicates=10**9, memory_cap_bytes=2 * 2**30)
+
+
+def test_import_loads_no_process_machinery():
+    # the study runs in one process; concurrent.futures._base comes with scipy
+    # and is not asserted on
+    probe = (
+        "import sys, pdinfer; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pdinfer.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestRunConvergenceExperiment:
@@ -109,15 +124,6 @@ class TestRunConvergenceExperiment:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
-
-    def test_parallel_matches_serial(self, tmp_path):
-        serial = run_convergence_experiment(
-            small_spec(tmp_path, output_path=tmp_path / "serial", workers=1)
-        )
-        parallel = run_convergence_experiment(
-            small_spec(tmp_path, output_path=tmp_path / "parallel", workers=2)
-        )
-        assert serial == parallel
 
     def test_summary_reproducible_from_raw_rows(self, tmp_path):
         spec = small_spec(tmp_path)

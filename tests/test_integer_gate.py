@@ -82,7 +82,6 @@ REFUSED = {
     "spec-float-sizes": (lambda p: spec(p, training_sizes=(10.5, 20)), "integer"),
     "spec-float-test-size": (lambda p: spec(p, test_size=10.5), "integer"),
     "spec-float-replicates": (lambda p: spec(p, replicates=1.5), "integer"),
-    "spec-float-workers": (lambda p: spec(p, workers=1.5), "integer"),
     "chi_square_sf-float-df": (lambda p: chi_square_sf(1.0, 1.5), "integer"),
     "chi_square_sf-bool-df": (lambda p: chi_square_sf(1.0, True), "integer"),
     "chi_square_sf-nan-statistic": (lambda p: chi_square_sf(float("nan"), 1), "non-negative"),
@@ -152,7 +151,7 @@ ACCEPTED = {
         sample_labeled_dataset([1.0, 2.0], 3, 1)[1].tolist()),
     "spec-numpy-sizes": (
         lambda p: spec(p, training_sizes=np.array([10, 20], np.uint16), test_size=np.int8(10),
-                       replicates=np.int64(1), workers=np.uint8(1)).training_sizes,
+                       replicates=np.int64(1)).training_sizes,
         (10, 20)),
     "chi_square_sf-numpy-df": (lambda p: chi_square_sf(1.0, np.int8(1)), chi_square_sf(1.0, 1)),
     "chi_square_sf-inf-statistic": (lambda p: chi_square_sf(float("inf"), 1), 0.0),
