@@ -14,8 +14,10 @@ The reader accepts any whitespace between fields, blank lines, lines starting
 with ``#`` anywhere (each ``# key = value`` one is metadata) and ids below
 2^63 written in ASCII digits (leading zeros allowed; a sign, ``_`` or a digit
 of another script is refused). A body made only of ASCII digits, spaces, tabs
-and newlines after the leading ``#`` block — the layout the writer produces —
-is parsed in one ``np.loadtxt`` call. Any other body, and any body that call
+and newlines after the leading ``#`` block — the writer's layout among others —
+is parsed in one ``np.fromstring`` call, once a numpy pass over its
+whitespace has found one record or no id on each line; an id of 19 or more
+digits is checked by its digits. Any other body, and any body that check
 rejects, goes through the line parser, which is the reference: it alone
 decides what is accepted and names the first bad line.
 
@@ -29,7 +31,6 @@ metadata lines and then the body.
 
 from __future__ import annotations
 
-import io
 import itertools
 import re
 from collections.abc import Iterable, Mapping
@@ -58,6 +59,7 @@ _MAGIC_RE = re.compile(r"^# pd-infer v1 (labeled|unlabeled) n=(\d+)\s*$")
 _META_RE = re.compile(r"^#\s*([A-Za-z0-9_.-]+)\s*=\s*(.*?)\s*$")
 _LEADING_COMMENTS_RE = re.compile(r"(?:#[^\n]*\n)*")
 _FAST_CHARS = b"0123456789 \t\n"
+_ID_MAX_DIGITS = str(_ID_LIMIT - 1).encode()
 # int() would also take "+5", "1_000" and other scripts' digits; a "-" is
 # let through so that a negative id, "-0" included, gets its own message
 _INT_RE = re.compile(r"-?[0-9]+")
@@ -137,7 +139,9 @@ def _parse_record(line: str, line_number: int, labeled: bool) -> list[int]:
         raise DatasetFormatError(
             f"line {line_number}: fields must be integers, got {line.strip()!r}"
         )
-    numbers = [int(f) for f in fields]
+    # int() refuses more than 4300 digits, leading zeros included; past 19
+    # significant digits an id is 2^63 or more, and 20 of them still are
+    numbers = [int(f.lstrip("-0")[:20] or "0") for f in fields]
     if "-" in line or not all(x < _ID_LIMIT for x in numbers):
         raise DatasetFormatError(
             f"line {line_number}: ids must be non-negative and below 2^63"
@@ -168,23 +172,42 @@ def _parse_lines(text: str, labeled: bool) -> tuple[dict[str, str], np.ndarray]:
 def _parse_fast(body: str, labeled: bool) -> np.ndarray | None:
     """The ``(n, fields)`` record table of a body without ``#`` lines, or None.
 
-    Parses in one ``np.loadtxt`` call a body made only of ASCII digits,
-    spaces, tabs and newlines, which the line parser would read to the same
-    table. Returns None for any other body, and for one that ``loadtxt``
-    rejects (an id of 2^63 or more, a changing field count) or that has the
-    wrong field count, so the line parser can name the bad line.
+    Parses in one ``np.fromstring`` call a body made only of ASCII digits,
+    spaces, tabs and newlines that holds one record or no id on each line,
+    which the line parser would read to the same table. Returns None for any
+    other body, and for one with an id of 2^63 or more, so the line parser
+    can name the bad line.
     """
-    if not body.isascii() or body.encode("ascii").translate(None, _FAST_CHARS):
+    if not body.isascii():
+        return None
+    # a newline at each end puts every id between two whitespace characters
+    raw = f"\n{body}\n".encode("ascii")
+    if raw.translate(None, _FAST_CHARS):
         return None
     width = 2 if labeled else 1
-    if not body.strip():
-        # loadtxt warns on a body without records
+    chars = np.frombuffer(raw, np.uint8)
+    spaces = np.flatnonzero(chars < 48)
+    # fromstring's value for an id of 19 or more digits is not trusted: its
+    # digits are compared with 2^63 - 1's, by length and then in order
+    for i in np.flatnonzero(np.diff(spaces) > 19):
+        digits = raw[spaces[i] + 1 : spaces[i + 1]].lstrip(b"0")
+        if (len(digits), digits) > (len(_ID_MAX_DIGITS), _ID_MAX_DIGITS):
+            return None
+    # an id starts after each whitespace that a digit follows, on the line
+    # that the newlines up to that whitespace give
+    follows, kinds = chars[1:][spaces[:-1]], chars[spaces[:-1]]
+    del spaces
+    line = np.cumsum(kinds == 10)[follows >= 48]
+    if not line.size:
+        # fromstring reads a body without ids as one 0
         return np.empty((0, width), dtype=np.int64)
-    try:
-        table = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2)
-    except (ValueError, OverflowError):
+    if line.size % width:
         return None
-    return table if table.shape[1] == width else None
+    records = line.reshape(-1, width)
+    # the ids of a record share a line, and the next record starts a later one
+    if (records[:, 0] != records[:, -1]).any() or (records[1:, 0] == records[:-1, -1]).any():
+        return None
+    return np.fromstring(raw, dtype=np.int64, count=line.size, sep=" ").reshape(-1, width)
 
 
 def read_dataset(path: str | Path) -> Dataset:
@@ -247,7 +270,11 @@ def write_classification(
     """Write a classification result file (see the module docstring)."""
     labeling = _as_ids(labeling, "class ids")
     contributions = np.asarray(per_item_log, dtype=np.float64)
-    # the footer first, so that a bad ``sweeps`` raises before the file is opened
+    # the shapes and the footer first, so that bad input raises before the file is opened
+    if labeling.ndim != 1:
+        raise ValueError("labeling must be a 1-d sequence")
+    if contributions.shape != labeling.shape:
+        raise ValueError("per_item_log must have one entry per label")
     footer = [
         f"# total_log_score = {log_score:.17g}",
         f"# sweeps = {_as_int(sweeps, 'sweeps', 0)}",

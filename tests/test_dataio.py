@@ -58,6 +58,24 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             write_dataset(tmp_path / "x.tsv", [1, 2], labels=[0])
 
+    @pytest.mark.parametrize(
+        ("labeled", "bound"), [(False, 40), (True, 64)], ids=["unlabeled", "labeled"]
+    )
+    def test_memory(self, tmp_path, labeled, bound):
+        # the file's text, the parsed table and the returned columns, plus a
+        # few int64 temporaries per whitespace character: about 31 and 56
+        # bytes a record here
+        n = 200_000
+        path = tmp_path / "data.tsv"
+        write_dataset(path, np.arange(n) % 1000, labels=np.arange(n) % 3 if labeled else None)
+        tracemalloc.start()
+        try:
+            read_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * n
+
 
 _IDS = st.lists(st.integers(min_value=0, max_value=ID_MAX), max_size=30)
 _METADATA = st.dictionaries(
@@ -140,6 +158,17 @@ def test_canonical_files_never_reach_the_line_parser(tmp_path, monkeypatch):
         "labeled", np.int64, values, (np.int64, [0, 0, 1, 2, 2]), metadata
     )
     assert outcome(tmp_path / "empty.tsv") == ("labeled", np.int64, [], (np.int64, []), metadata)
+    # and so must hand-written files of the same characters in any layout
+    # that the line parser reads
+    for kind, body, expected in [
+        ("unlabeled", "  3\n\n\t4 \n 5", [3, 4, 5]),
+        ("unlabeled", f"\n\n007\n  {ID_MAX}\t\n\n", [7, ID_MAX]),
+        ("unlabeled", f"000{ID_MAX}\n{'0' * 24}9\n", [ID_MAX, 9]),
+        ("labeled", "\n 0 \t 5\n\n\t1  6 \n  \n2\t7", [5, 6, 7]),
+        ("labeled", "  \t \n", []),
+    ]:
+        _write_raw(tmp_path / "hand.tsv", kind, body)
+        assert outcome(tmp_path / "hand.tsv")[2] == expected
 
 
 # Bodies that the one-call path must read exactly as the line parser does:
@@ -165,6 +194,20 @@ _HAND_BUILT = [
     ("labeled", "0 \u0663\n", "line 3: fields must be integers, got '0 \u0663'"),
     ("unlabeled", "\uff15\n", "line 3: fields must be integers, got '\uff15'"),
     ("labeled", "0 -0\n", "line 3: ids must be non-negative and below 2^63"),
+    ("unlabeled", "0" * 24 + "9\n", [9]),
+    ("unlabeled", f"000{ID_MAX}", [ID_MAX]),
+    ("unlabeled", f"000{2**63}", "line 3: ids must be non-negative and below 2^63"),
+    ("unlabeled", "1" + "0" * 40, "line 3: ids must be non-negative and below 2^63"),
+    # an even id count, split 3 + 1 over two lines
+    ("labeled", "0 1 2\n3\n", "line 3: expected 2 field(s), got 3"),
+    ("labeled", "0\t1\n\n\n2 3", [1, 3]),
+]
+
+# ids of more digits than int() converts, leading zeros included
+_OVERLONG = [
+    ("unlabeled", "0" * 5000 + "5\n", [5]),
+    ("unlabeled", "0\n" + "1" * 5000, "line 4: ids must be non-negative and below 2^63"),
+    ("labeled", "0 -" + "0" * 5000 + "\n", "line 3: ids must be non-negative and below 2^63"),
 ]
 
 
@@ -210,6 +253,17 @@ def _bodies(draw, width):
 class TestFastPathMatchesLineParser:
     @pytest.mark.parametrize(("kind", "body", "expected"), _HAND_BUILT)
     def test_hand_built(self, tmp_path, kind, body, expected):
+        self.check(tmp_path, kind, body, expected)
+
+    @pytest.mark.parametrize(
+        ("kind", "body", "expected"), _OVERLONG, ids=["zero-padded", "too-large", "negative-zero"]
+    )
+    def test_overlong(self, tmp_path, kind, body, expected):
+        # the line parser once let int()'s ValueError escape as exit code 3
+        self.check(tmp_path, kind, body, expected)
+
+    @staticmethod
+    def check(tmp_path, kind, body, expected):
         path = tmp_path / "data.tsv"
         _write_raw(path, kind, body)
         result = outcome(path)
@@ -297,6 +351,22 @@ class TestClassificationWriter:
         path = tmp_path / "result.tsv"
         with pytest.raises(ValueError, match="sweeps"):
             write_classification(path, np.array([0]), np.array([-1.0]), -1.0, 1.5, True)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        ("labeling", "per_item_log", "message"),
+        [
+            # a file of 2 rows under a header declaring n=3
+            ([0, 1, 1], [-1.0, -2.0], "one entry per label"),
+            ([[0, 1], [1, 0]], [-1.0, -2.0], "1-d"),
+            ([0], -1.0, "one entry per label"),
+        ],
+        ids=["short-log", "2d-labeling", "scalar-log"],
+    )
+    def test_bad_shapes_leave_no_file(self, tmp_path, labeling, per_item_log, message):
+        path = tmp_path / "result.tsv"
+        with pytest.raises(ValueError, match=message):
+            write_classification(path, np.array(labeling), np.array(per_item_log), -1.0, 1, True)
         assert not path.exists()
 
     def test_memory(self, tmp_path):
