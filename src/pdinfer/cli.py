@@ -29,6 +29,7 @@ stderr, no traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import shlex
 import sys
@@ -110,6 +111,13 @@ def _boolean(text: str) -> bool:
         raise argparse.ArgumentTypeError(f"expects true/false/yes/no/1/0, got {text!r}") from None
 
 
+@functools.cache
+def _manifest_parser() -> _Parser:
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--manifest")
+    return pre
+
+
 def _with_manifest(argv: list[str]) -> list[str]:
     """Replace ``--manifest FILE`` after the command name by the flags FILE lists.
 
@@ -119,9 +127,7 @@ def _with_manifest(argv: list[str]) -> list[str]:
     the command line, parsed later, win.
     """
     command = next((i for i, token in enumerate(argv) if not token.startswith("-")), len(argv))
-    pre = _Parser(add_help=False, allow_abbrev=False)
-    pre.add_argument("--manifest")
-    known, rest = pre.parse_known_args(argv[command + 1 :])
+    known, rest = _manifest_parser().parse_known_args(argv[command + 1 :])
     tokens: list[str] = []
     if known.manifest is not None:
         try:
@@ -314,7 +320,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``pd-infer`` argument parser, built once; parsing leaves it unchanged."""
     parser = _Parser(prog="pd-infer", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"pd-infer {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

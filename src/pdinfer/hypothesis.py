@@ -14,10 +14,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from scipy.special import gammaincc
-
-from .core import (Partition, SpeciesCounts, _as_int, _check_psi, _distinct_and_slope,
-                   _log_rising_factorial, _n_and_k)
+from .core import (_HEAD, Partition, SpeciesCounts, _as_int, _check_psi, _distinct_and_slope,
+                   _log_rising_factorial, _n_and_k, _stirling_tails)
 from .estimation import PsiEstimate, fit_psi, fit_psi_pooled
 
 __all__ = [
@@ -58,13 +56,53 @@ class TestReport:
 def chi_square_sf(x: float, df: int) -> float:
     """Chi-square survival function ``P(X > x)`` with ``df`` degrees of freedom.
 
-    Evaluated through the regularized upper incomplete gamma function.
+    Evaluated in closed form for integer ``df``: with ``h = x / 2`` and terms
+    ``t_e = exp(-h) h^e / Gamma(e + 1)``, it is the sum of ``t_e`` over
+    ``e = 0, 1, ..., df/2 - 1`` for even ``df``, and ``erfc(sqrt(h))`` plus the
+    sum over ``e = 1/2, 3/2, ..., df/2 - 1`` for odd ``df``. The largest term is
+    built in log space, the others from it by the ratio ``t_{e+1} / t_e = h / (e + 1)``,
+    walking outward until a term falls below ``2^-60`` of the sum: O(min(df, sqrt(h)))
+    terms in O(1) memory.
     """
     x = float(x)
     df = _as_int(df, "degrees of freedom")
     if not x >= 0.0:
         raise ValueError(f"statistic must be non-negative, got {x}")
-    return float(gammaincc(df / 2.0, x / 2.0))
+    h = x / 2.0
+    if h == 0.0:
+        return 1.0
+    if h == math.inf:
+        return 0.0
+    first = 0.5 * (df % 2)
+    head = math.erfc(math.sqrt(h)) if df % 2 else 0.0
+    count = df // 2
+    if count == 0:
+        return head
+    # the terms rise while e + 1 < h, so the largest is the first e with e + 1 >= h
+    below = min(count - 1, max(0, math.ceil(h - 1.0 - first)))
+    peak = first + below
+    if peak < _HEAD:
+        log_peak = peak * math.log(h) - h - math.lgamma(peak + 1.0)
+    else:
+        # Stirling's lgamma(peak + 1), with -h + peak log h taken as the log1p of the gap
+        log_peak = ((peak - h) + peak * math.log1p((h - peak) / peak)
+                    - 0.5 * math.log(2.0 * math.pi * peak) - _stirling_tails(peak)[0])
+    total = term = 1.0
+    e = peak
+    for _ in range(below):
+        term *= e / h
+        e -= 1.0
+        total += term
+        if term < total * 2.0**-60:
+            break
+    term, e = 1.0, peak
+    for _ in range(count - 1 - below):
+        e += 1.0
+        term *= h / e
+        total += term
+        if term < total * 2.0**-60:
+            break
+    return head + math.exp(log_peak) * total
 
 
 def score_U(sample: SpeciesCounts | Partition, psi0: float) -> float:

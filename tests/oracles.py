@@ -9,6 +9,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from pdinfer import esf_log_pmf
@@ -147,3 +148,19 @@ def greedy_joint_labeling(train_counts, class_sizes, psis, values, max_sweeps=10
                 converged = False
     per_item_log = [log_factor(c, v, size[c, v]) for c, v in zip(labels, values)]
     return labels, sweeps, converged, per_item_log
+
+
+def chi_square_sf_reference(x: float, df: int) -> float:
+    """Chi-square tail ``P(X > x)``: mpmath's regularized upper gamma ``Q(df/2, x/2)`` at 40 digits.
+
+    Where mpmath's series does not converge (odd ``df`` near ``10^9``), scipy's
+    ``gammaincc`` stands in.
+    """
+    try:
+        with mpmath.workdps(40):
+            return float(mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2, mpmath.inf,
+                                         regularized=True))
+    except mpmath.libmp.NoConvergence:
+        from scipy.special import gammaincc
+
+        return float(gammaincc(df / 2, x / 2))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pdinfer import read_dataset, sampling
+from pdinfer import cli, read_dataset, sampling
 from pdinfer.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 
@@ -507,6 +507,29 @@ class TestExperimentCommand:
         assert stderr.startswith("pd-infer: usage error: argument --memory-cap-gb:")
         assert stderr.count("\n") == 1
         assert not (tmp_path / "exp").exists()
+
+
+def test_parser_built_once_keeps_no_state(aab_file, tmp_path, capsys):
+    # a success, a usage error and a success, through the one cached parser and
+    # through parsers built afresh for each call, give the same codes and output
+    manifest = tmp_path / "run.manifest"
+    manifest.write_text(f"psi = 2.5\nn = 40\nout = {tmp_path / 'm.tsv'}\n")
+    calls = [
+        ["sample", "--manifest", str(manifest), "--seed", "3"],
+        ["sample", "--psi", "1", "--n", "0", "--out", str(tmp_path / "x.tsv")],
+        ["mle", "--input", str(aab_file)],
+        ["sample", "--manifest", str(manifest)],
+    ]
+
+    def fresh(argv):
+        cli.build_parser.cache_clear()
+        cli._manifest_parser.cache_clear()
+        return run(capsys, *argv)
+
+    expected = [fresh(argv) for argv in calls]
+    assert [code for code, _, _ in expected] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
+    assert cli.build_parser() is cli.build_parser()
+    assert [run(capsys, *argv) for argv in calls] == expected
 
 
 class TestExitCodes:

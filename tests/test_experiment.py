@@ -50,18 +50,30 @@ class TestExperimentSpec:
             small_spec(tmp_path, replicates=10**9, memory_cap_bytes=2 * 2**30)
 
 
-def test_import_loads_no_process_machinery():
-    # the study runs in one process; concurrent.futures._base comes with scipy
-    # and is not asserted on
+def _top_level_modules_after_import(*roots: str) -> str:
+    """The sorted list of ``roots`` that a fresh ``import pdinfer, pdinfer.cli`` loads, as printed.
+
+    A root counts as loaded when it or any of its submodules is.
+    """
     probe = (
-        "import sys, pdinfer; "
-        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+        "import sys, pdinfer, pdinfer.cli; "
+        f"print(sorted({{m.split('.')[0] for m in sys.modules}} & {set(roots)!r}))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(pdinfer.__file__).parents[1])}
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_import_loads_no_process_machinery():
+    # the study runs in one process
+    assert _top_level_modules_after_import("multiprocessing", "concurrent") == "[]"
+
+
+def test_import_loads_no_scipy():
+    # the chi-square tail is closed-form, so scipy is a test dependency only
+    assert _top_level_modules_after_import("scipy") == "[]"
 
 
 class TestRunConvergenceExperiment:

@@ -1,6 +1,7 @@
 """Tests for the score test, the likelihood ratio test, and their plumbing."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from pdinfer import (
 )
 from pdinfer.core import _distinct_and_slope
 
-from oracles import lr_statistic_from_partitions
+from oracles import chi_square_sf_reference, lr_statistic_from_partitions
 
 
 class TestScoreU:
@@ -117,6 +118,31 @@ class TestChiSquareSf:
             chi_square_sf(-0.1, 1)
         with pytest.raises(ValueError):
             chi_square_sf(1.0, 0)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 5, 9, 10, 49, 50, 199, 1000, 5001])
+    def test_matches_reference_on_grid(self, df):
+        for x in np.geomspace(1e-12, 1e4, 100).tolist():
+            reference = chi_square_sf_reference(x, df)
+            if reference >= 1e-300:
+                assert chi_square_sf(x, df) == pytest.approx(reference, rel=1e-11, abs=0.0), x
+
+    @pytest.mark.parametrize("df", [10**6, 10**6 + 1, 10**9, 10**9 + 1])
+    def test_matches_reference_at_large_df(self, df):
+        # centre and three standard deviations either side; the cost grows with
+        # sqrt(x), not with df, or the 10^9 rows would not finish
+        spread = 3.0 * math.sqrt(2.0 * df)
+        for x in (df - spread, float(df), df + spread):
+            reference = chi_square_sf_reference(x, df)
+            assert chi_square_sf(x, df) == pytest.approx(reference, rel=1e-9, abs=0.0), x
+
+    def test_memory_does_not_grow_with_df(self):
+        tracemalloc.start()
+        try:
+            chi_square_sf(1e9, 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
 
 
 class TestLmTest:
