@@ -119,13 +119,14 @@ def counts_by_class(labels: np.ndarray, values: np.ndarray) -> list[SpeciesCount
         raise ValueError("labels and values must be 1-d arrays of equal length")
     if labels.size == 0:
         raise ValueError("empty training data")
-    present = np.unique(labels)
-    k = int(present[-1]) + 1
-    if len(present) != k:
+    classes = SpeciesCounts.from_values(labels)
+    if classes.ids[-1] + 1 != classes.k_obs:
         raise ValueError(
-            f"class ids must be contiguous 0..k-1, got {present.tolist()}"
+            f"class ids must be contiguous 0..k-1, got {classes.ids.tolist()}"
         )
-    return [SpeciesCounts.from_values(values[labels == c]) for c in range(k)]
+    grouped = values[np.argsort(labels)]  # counts ignore the order within a class
+    return [SpeciesCounts.from_values(part)
+            for part in np.split(grouped, np.cumsum(classes.counts)[:-1])]
 
 
 def train_from_counts(per_class_counts: Sequence[SpeciesCounts]) -> TrainingModel:

@@ -48,7 +48,7 @@ from .dataio import (
     write_dataset,
 )
 from .estimation import PsiEstimate, fit_psi
-from .experiment import ExperimentSpec, run_convergence_experiment
+from .experiment import _METRICS, ExperimentSpec, run_convergence_experiment
 from .hypothesis import DegenerateSampleError, lm_test, lr_test
 from .sampling import UrnConfig, _check_seed, derive_seeds, sample_labeled_dataset, sample_sequence
 
@@ -310,12 +310,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     rows = run_convergence_experiment(spec)
-    print("m\terr_marginal\terr_simultaneous\tdisagreement")
+    print("m\t" + "\t".join(_METRICS))
     for row in rows:
-        print(
-            f"{row.m}\t{row.err_marginal:.4f}\t{row.err_simultaneous:.4f}"
-            f"\t{row.disagreement:.4f}"
-        )
+        print(f"{row.m}" + "".join(f"\t{getattr(row, name):.4f}" for name in _METRICS))
     print(f"wrote {spec.output_path}/summary.tsv and series files")
     return EXIT_OK
 

@@ -9,10 +9,12 @@ and each training prefix is counted when it is used. One simultaneous
 classification per training size gives both labelings: the marginal one is
 the ``start`` it returns. Results are averaged over replicates and written,
 in the v1 text format of :mod:`pdinfer.dataio`, as tab-separated tables plus
-one plot-ready series file per curve. A class whose dispersal fit lands on
-the bracket boundary (the degenerate case, e.g. a training prefix of values
-all seen once) is part of the study: it trains and classifies with the
-clamped value like any other class.
+one plot-ready series file per metric. One list, ``_METRICS``, names the
+metrics; every table's columns, the series files and the CLI's table follow
+it. A class whose dispersal fit lands on the bracket boundary (the
+degenerate case, e.g. a training prefix of values all seen once) is part of
+the study: it trains and classifies with the clamped value like any other
+class.
 """
 
 from __future__ import annotations
@@ -36,11 +38,8 @@ __all__ = [
 
 _SUMMARY_FILE = "summary.tsv"
 _REPLICATES_FILE = "replicates.tsv"
-_SERIES_FILES = {
-    "err_marginal": "series_err_marginal.tsv",
-    "err_simultaneous": "series_err_simultaneous.tsv",
-    "disagreement": "series_disagreement.tsv",
-}
+# the per-size metrics, in the order of every output column and of ExperimentRow's fields
+_METRICS = ("err_marginal", "err_simultaneous", "disagreement")
 
 
 @dataclass(frozen=True)
@@ -103,21 +102,26 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ExperimentRow:
-    """Replicate-averaged metrics at one training size."""
+    """Replicate-averaged metrics at one training size.
+
+    The fields are ``m``, the mean of each study metric, then each metric's
+    replicate standard deviation (``sd_<name>``, 0 with one replicate), in the
+    order of the output files' columns.
+    """
 
     m: int
     err_marginal: float
     err_simultaneous: float
     disagreement: float
-    sd_err_marginal: float = 0.0
-    sd_err_simultaneous: float = 0.0
-    sd_disagreement: float = 0.0
+    sd_err_marginal: float
+    sd_err_simultaneous: float
+    sd_disagreement: float
 
 
 def _replicate_metrics(
     spec: ExperimentSpec, seeds: tuple[int, ...]
-) -> list[tuple[float, float, float]]:
-    """Metrics (err_marginal, err_simultaneous, disagreement) per training size.
+) -> list[tuple[float, ...]]:
+    """The replicate's ``_METRICS`` values per training size.
 
     ``seeds`` is the replicate's block of ``2k`` derived seeds: the class
     training pools' seeds, then the class test sets'.
@@ -179,64 +183,43 @@ def run_convergence_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
         _replicate_metrics(spec, seeds[r * block : (r + 1) * block]) for r in range(spec.replicates)
     ]
 
-    # per_replicate[r][j] = (err_m, err_s, dis) at training_sizes[j]
-    stacked = np.array(per_replicate)  # (replicates, sizes, 3)
+    stacked = np.array(per_replicate)  # (replicates, sizes, metrics)
     means = stacked.mean(axis=0)
     if spec.replicates > 1:
         sds = stacked.std(axis=0, ddof=1)
     else:
         sds = np.zeros_like(means)
-
-    rows = [
-        ExperimentRow(
-            m=m,
-            err_marginal=float(means[j, 0]),
-            err_simultaneous=float(means[j, 1]),
-            disagreement=float(means[j, 2]),
-            sd_err_marginal=float(sds[j, 0]),
-            sd_err_simultaneous=float(sds[j, 1]),
-            sd_disagreement=float(sds[j, 2]),
-        )
+    _write_outputs(spec, stacked, means, sds)
+    return [
+        ExperimentRow(m, *means[j].tolist(), *sds[j].tolist())
         for j, m in enumerate(spec.training_sizes)
     ]
-    _write_outputs(spec, rows, stacked)
-    return rows
 
 
 def _write_outputs(
-    spec: ExperimentSpec, rows: list[ExperimentRow], stacked: np.ndarray
+    spec: ExperimentSpec, stacked: np.ndarray, means: np.ndarray, sds: np.ndarray
 ) -> None:
     out = spec.output_path
     out.mkdir(parents=True, exist_ok=True)
     metadata = _metadata(spec)
+    sizes = spec.training_sizes
 
-    summary = [
-        "# columns: m\terr_marginal_mean\terr_marginal_sd\terr_simultaneous_mean"
-        "\terr_simultaneous_sd\tdisagreement_mean\tdisagreement_sd"
-    ]
+    summary = ["# columns: m" + "".join(f"\t{name}_mean\t{name}_sd" for name in _METRICS)]
     summary.extend(
-        f"{row.m}\t{row.err_marginal:.6f}\t{row.sd_err_marginal:.6f}"
-        f"\t{row.err_simultaneous:.6f}\t{row.sd_err_simultaneous:.6f}"
-        f"\t{row.disagreement:.6f}\t{row.sd_disagreement:.6f}"
-        for row in rows
+        f"{m}" + "".join(f"\t{mean:.6f}\t{sd:.6f}" for mean, sd in zip(means[j], sds[j]))
+        for j, m in enumerate(sizes)
     )
     _write_v1(out / _SUMMARY_FILE, "experiment-summary", metadata, summary)
 
-    raw = ["# columns: replicate\tm\terr_marginal\terr_simultaneous\tdisagreement"]
-    for r in range(stacked.shape[0]):
-        for j, m in enumerate(spec.training_sizes):
-            err_m, err_s, dis = stacked[r, j]
-            raw.append(f"{r}\t{m}\t{err_m:.17g}\t{err_s:.17g}\t{dis:.17g}")
+    raw = ["# columns: replicate\tm\t" + "\t".join(_METRICS)]
+    raw.extend(
+        f"{r}\t{m}" + "".join(f"\t{value:.17g}" for value in stacked[r, j])
+        for r in range(stacked.shape[0])
+        for j, m in enumerate(sizes)
+    )
     _write_v1(out / _REPLICATES_FILE, "experiment-replicates", metadata, raw)
 
-    curves = {
-        "err_marginal": [row.err_marginal for row in rows],
-        "err_simultaneous": [row.err_simultaneous for row in rows],
-        "disagreement": [row.disagreement for row in rows],
-    }
-    for name, series in curves.items():
+    for i, name in enumerate(_METRICS):
         lines = ["# columns: m\tvalue"]
-        lines.extend(
-            f"{m}\t{value:.17g}" for m, value in zip(spec.training_sizes, series)
-        )
-        _write_v1(out / _SERIES_FILES[name], f"series {name}", metadata, lines)
+        lines.extend(f"{m}\t{value:.17g}" for m, value in zip(sizes, means[:, i]))
+        _write_v1(out / f"series_{name}.tsv", f"series {name}", metadata, lines)

@@ -62,10 +62,12 @@ def chi_square_sf(x: float, df: int) -> float:
     sum over ``e = 1/2, 3/2, ..., df/2 - 1`` for odd ``df``. The largest term is
     built in log space, the others from it by the ratio ``t_{e+1} / t_e = h / (e + 1)``,
     walking outward until a term falls below ``2^-60`` of the sum: O(min(df, sqrt(h)))
-    terms in O(1) memory.
+    terms in O(1) memory. ``df`` must lie in ``[1, 2^40)``, which bounds a call
+    near its worst case (``x`` close to ``df``) at about a second; :func:`lm_test`
+    passes ``df = 1`` and :func:`lr_test` ``s - 1`` for ``s`` samples.
     """
     x = float(x)
-    df = _as_int(df, "degrees of freedom")
+    df = _as_int(df, "degrees of freedom", 1, 2**40)
     if not x >= 0.0:
         raise ValueError(f"statistic must be non-negative, got {x}")
     h = x / 2.0

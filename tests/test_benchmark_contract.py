@@ -5,12 +5,15 @@
 renaming one breaks the benchmark. This runs one traced pass of every
 workload at its tiny size, with both files imported as they are, and checks
 each job's output digest against ``golden_tiny.json`` (seed 1), so that a
-change meant to keep outputs bit-identical is checked to do so. To record
-the file again after a change that moves outputs on purpose, run
-``python tests/test_benchmark_contract.py`` and name each moved job in
-CHANGES.md.
+change meant to keep outputs bit-identical is checked to do so.
+
+``python tests/test_benchmark_contract.py`` runs the same passes and prints
+which jobs' digests moved; with ``--write-golden`` it also records the file
+again, for a change that moves outputs on purpose (name each moved job in
+CHANGES.md). Any other argument is a usage error (exit 2).
 """
 
+import argparse
 import importlib.util
 import json
 import sys
@@ -74,9 +77,19 @@ def test_rebound_names_resolve_to_their_homes():
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--write-golden", action="store_true")
+    args = parser.parse_args()
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as work:
         digests = {
             name: [digest for _, digest in _traced_tiny_pass(name, Path(work) / name)[0]]
             for name in sorted(workloads.WORKLOADS)
         }
-    GOLDEN.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
+    for name, jobs in digests.items():
+        recorded = golden.get(name, [])
+        moved = [i for i, digest in enumerate(jobs) if recorded[i : i + 1] != [digest]]
+        print(f"{name}: {len(moved)} of {len(jobs)} digests moved {moved}")
+    if args.write_golden:
+        GOLDEN.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {GOLDEN}")

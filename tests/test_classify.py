@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdinfer.classify as classify_module
 from pdinfer import (
@@ -100,11 +102,23 @@ class TestTrain:
     def test_rejects_non_contiguous_ids(self):
         with pytest.raises(ValueError, match="contiguous"):
             train([0, 2], [1, 1])
+        # a label far past the data's size is sorted, not binned
+        with pytest.raises(ValueError, match=rf"contiguous 0..k-1, got \[0, {2**62}\]"):
+            train([0, 2**62], [1, 1])
 
     def test_counts_by_class_splits(self):
         counts = counts_by_class(np.array([0, 1, 0]), np.array([5, 6, 5]))
         assert counts[0] == SpeciesCounts([5], [2])
         assert counts[1] == SpeciesCounts([6], [1])
+
+    @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=40), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_counts_by_class_matches_per_class_masks(self, sizes, data):
+        labels = np.array(data.draw(st.permutations(np.repeat(np.arange(len(sizes)), sizes))))
+        ids = st.one_of(st.integers(0, 6), st.integers(0, 2**62))
+        values = np.array(data.draw(st.lists(ids, min_size=labels.size, max_size=labels.size)))
+        expected = [SpeciesCounts.from_values(values[labels == c]) for c in range(len(sizes))]
+        assert counts_by_class(labels, values) == expected
 
 
 class TestMarginalLogScore:

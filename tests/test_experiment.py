@@ -1,5 +1,6 @@
 """Tests for the convergence-study harness."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 
 import pdinfer
 import pdinfer.classify as classify_module
-from pdinfer import ExperimentSpec, __version__, run_convergence_experiment
+from pdinfer import ExperimentRow, ExperimentSpec, __version__, run_convergence_experiment
+from pdinfer.experiment import _METRICS
 
 
 def small_spec(tmp_path, **overrides):
@@ -76,6 +78,20 @@ def test_import_loads_no_scipy():
     assert _top_level_modules_after_import("scipy") == "[]"
 
 
+def _body(path: Path) -> list[list[str]]:
+    """A study file's column names, then its records, each split at tabs."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    columns = next(line for line in lines if line.startswith("# columns: "))
+    records = [line.split("\t") for line in lines if not line.startswith("#")]
+    return [columns.removeprefix("# columns: ").split("\t"), *records]
+
+
+def test_row_fields_follow_the_metric_list():
+    # rows are built positionally: m, then the means, then the sds, in _METRICS order
+    fields = [field.name for field in dataclasses.fields(ExperimentRow)]
+    assert fields == ["m", *_METRICS, *(f"sd_{name}" for name in _METRICS)]
+
+
 class TestRunConvergenceExperiment:
     def test_rows_and_files(self, tmp_path):
         spec = small_spec(tmp_path)
@@ -116,13 +132,30 @@ class TestRunConvergenceExperiment:
             "\terr_simultaneous_sd\tdisagreement_mean\tdisagreement_sd\n",
             "replicates.tsv": "# pd-infer v1 experiment-replicates\n" + shared
             + "# columns: replicate\tm\terr_marginal\terr_simultaneous\tdisagreement\n",
-            "series_disagreement.tsv": "# pd-infer v1 series disagreement\n" + shared
-            + "# columns: m\tvalue\n",
         }
+        for metric in ("err_marginal", "err_simultaneous", "disagreement"):
+            expected[f"series_{metric}.tsv"] = (
+                f"# pd-infer v1 series {metric}\n" + shared + "# columns: m\tvalue\n"
+            )
         for name, header in expected.items():
             text = (spec.output_path / name).read_bytes().decode("utf-8")
             assert text.startswith(header)
             assert "#" not in text[len(header):]
+
+    def test_series_are_the_summary_means(self, tmp_path):
+        spec = small_spec(tmp_path)
+        run_convergence_experiment(spec)
+        summary = _body(spec.output_path / "summary.tsv")
+        columns = summary[0][1:]
+        for name in _METRICS:
+            series = _body(spec.output_path / f"series_{name}.tsv")
+            assert series[0] == ["m", "value"]
+            assert [m for m, _ in series[1:]] == [row[0] for row in summary[1:]]
+            mean = columns.index(f"{name}_mean") + 1
+            # the series keeps 17 significant digits, the summary 6 decimals
+            assert [f"{float(value):.6f}" for _, value in series[1:]] == [
+                row[mean] for row in summary[1:]
+            ]
 
     def test_deterministic_outputs(self, tmp_path):
         first = run_convergence_experiment(

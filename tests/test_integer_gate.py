@@ -84,6 +84,7 @@ REFUSED = {
     "spec-float-replicates": (lambda p: spec(p, replicates=1.5), "integer"),
     "chi_square_sf-float-df": (lambda p: chi_square_sf(1.0, 1.5), "integer"),
     "chi_square_sf-bool-df": (lambda p: chi_square_sf(1.0, True), "integer"),
+    "chi_square_sf-df-from-2^40": (lambda p: chi_square_sf(1.0, 2**40), "below 1099511627776"),
     "chi_square_sf-nan-statistic": (lambda p: chi_square_sf(float("nan"), 1), "non-negative"),
 }
 
@@ -155,6 +156,7 @@ ACCEPTED = {
         (10, 20)),
     "chi_square_sf-numpy-df": (lambda p: chi_square_sf(1.0, np.int8(1)), chi_square_sf(1.0, 1)),
     "chi_square_sf-inf-statistic": (lambda p: chi_square_sf(float("inf"), 1), 0.0),
+    "chi_square_sf-df-below-2^40": (lambda p: chi_square_sf(1.0, 2**40 - 1), 1.0),
 }
 
 
