@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpeciesCounts, _as_ids, _log_factor, partition_of
+from .core import SpeciesCounts, _as_ids, _contiguous, _log_factor, partition_of
 from .estimation import PsiEstimate, fit_psi
 
 __all__ = [
@@ -113,17 +113,13 @@ class ClassificationResult:
 
 def counts_by_class(labels: np.ndarray, values: np.ndarray) -> list[SpeciesCounts]:
     """Split a labeled dataset into per-class frequency tables."""
-    labels = _as_ids(labels, "class ids")
-    values = _as_ids(values)
-    if labels.shape != values.shape or labels.ndim != 1:
+    labels = _as_ids(labels, "class ids", ndim=1)
+    values = _as_ids(values, ndim=1)
+    if labels.shape != values.shape:
         raise ValueError("labels and values must be 1-d arrays of equal length")
     if labels.size == 0:
         raise ValueError("empty training data")
-    classes = SpeciesCounts.from_values(labels)
-    if classes.ids[-1] + 1 != classes.k_obs:
-        raise ValueError(
-            f"class ids must be contiguous 0..k-1, got {classes.ids.tolist()}"
-        )
+    classes = _contiguous(SpeciesCounts.from_values(labels), "class ids")
     grouped = values[np.argsort(labels)]  # counts ignore the order within a class
     return [SpeciesCounts.from_values(part)
             for part in np.split(grouped, np.cumsum(classes.counts)[:-1])]
@@ -161,9 +157,9 @@ def _score_inputs(
 
 
 def _as_test_values(test_values: Sequence[int] | np.ndarray) -> np.ndarray:
-    values = _as_ids(test_values)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("test values must be a non-empty 1-d sequence")
+    values = _as_ids(test_values, "test values", ndim=1)
+    if values.size == 0:
+        raise ValueError("test values must be non-empty")
     return values
 
 

@@ -20,10 +20,10 @@ Exit codes: 0 success (warnings allowed; each degenerate fit adds one
 ``pd-infer: warning: ...`` line on stderr), 1 usage error (including any
 ``experiment --workers`` other than 1, a ``--memory-cap-gb`` whose byte count
 is not finite, from about 1.7e299 up, and a study whose estimated memory,
-which grows with ``--replicates``, exceeds the cap), 2 data/parse error (including
-a dataset with no records, a file that is not UTF-8 and class ids that are
-not contiguous), 3 numeric/degeneracy error or out of memory (one line on
-stderr, no traceback).
+which grows with ``--replicates`` and ``--test-size``, exceeds the cap), 2
+data/parse error (including a dataset with no records, a file that is not
+UTF-8 and class ids that are not contiguous), 3 numeric/degeneracy error or
+out of memory (one line on stderr, no traceback).
 """
 
 from __future__ import annotations

@@ -13,10 +13,11 @@ Species identifiers are opaque non-negative integers assigned by ingestion
 code in order of first appearance; no numeric result may depend on their
 values, only on the multiset of frequencies. This module is the package's one
 integer gate: :func:`_as_integers` (tables, looked-up ids, partition entries),
-:func:`_as_ids` (non-negative ids and labels) and :func:`_as_int` (sizes, seeds,
-sweep counts, degrees of freedom) are the only conversions of a caller's
-integers. They refuse floats, strings and bools rather than truncate, parse or
-read them as 0/1.
+:func:`_as_ids` (non-negative ids and labels; "must be a 1-d array" under
+``ndim=1``) and :func:`_as_int` (sizes, seeds, sweep counts, degrees of freedom)
+are the only conversions of a caller's integers, refusing floats, strings and
+bools rather than truncate, parse or read them as 0/1; :func:`_contiguous` holds
+ids to exactly 0..k-1 ("must be contiguous 0..k-1, but 7 is missing").
 
 All containers are immutable after construction (the arrays of a
 :class:`SpeciesCounts` are read-only) and all operations are pure functions,
@@ -108,12 +109,24 @@ def _as_integers(values: int | Iterable[int] | np.ndarray, what: str = "species 
         raise ValueError(f"{what} must fit in a signed 64-bit integer") from None
 
 
-def _as_ids(values: int | Iterable[int] | np.ndarray, what: str = "species ids") -> np.ndarray:
-    """:func:`_as_integers` for ids and labels, which must also be non-negative."""
+def _as_ids(
+    values: int | Iterable[int] | np.ndarray, what: str = "species ids", ndim: int | None = None
+) -> np.ndarray:
+    """:func:`_as_integers` for ids and labels: non-negative, and ``ndim``-d if that is given."""
     ids = _as_integers(values, what)
+    if ndim is not None and ids.ndim != ndim:
+        raise ValueError(f"{what} must be a {ndim}-d array")
     if ids.size and ids.min() < 0:
         raise ValueError(f"{what} must be non-negative")
     return ids
+
+
+def _contiguous(table: SpeciesCounts, what: str) -> SpeciesCounts:
+    """``table`` if its ids are ``0..k-1``, else ``ValueError`` naming the first missing id."""
+    gaps = np.flatnonzero(table.ids != np.arange(table.k_obs))
+    if gaps.size:
+        raise ValueError(f"{what} must be contiguous 0..k-1, but {gaps[0]} is missing")
+    return table
 
 
 def _as_int(value: int, what: str, low: int = 1, high: int = _ID_LIMIT) -> int:
@@ -203,9 +216,7 @@ class SpeciesCounts:
             ValueError: on a non-integer or negative id, an id that does not
                 fit int64, or an array that is not 1-d.
         """
-        values = _as_ids(values)
-        if values.ndim != 1:
-            raise ValueError("expected a 1-d array of species ids")
+        values = _as_ids(values, ndim=1)
         if values.size and values.max() < values.size:
             counts = np.bincount(values)
             ids = np.flatnonzero(counts)

@@ -115,13 +115,11 @@ def write_dataset(
 
     Ids that :func:`read_dataset` would refuse raise ``ValueError`` before the file is opened.
     """
-    values = _as_ids(values)
-    if values.ndim != 1:
-        raise ValueError("values must be a 1-d sequence")
+    values = _as_ids(values, ndim=1)
     if labels is None:
         kind, body = KIND_UNLABELED, map(str, values.tolist())
     else:
-        labels = _as_ids(labels, "class ids")
+        labels = _as_ids(labels, "class ids", ndim=1)
         if labels.shape != values.shape:
             raise ValueError("labels and values must have the same length")
         kind, body = KIND_LABELED, map("{}\t{}".format, labels.tolist(), values.tolist())
@@ -268,11 +266,9 @@ def write_classification(
     metadata: Mapping[str, object] | None = None,
 ) -> None:
     """Write a classification result file (see the module docstring)."""
-    labeling = _as_ids(labeling, "class ids")
-    contributions = np.asarray(per_item_log, dtype=np.float64)
     # the shapes and the footer first, so that bad input raises before the file is opened
-    if labeling.ndim != 1:
-        raise ValueError("labeling must be a 1-d sequence")
+    labeling = _as_ids(labeling, "class ids", ndim=1)
+    contributions = np.asarray(per_item_log, dtype=np.float64)
     if contributions.shape != labeling.shape:
         raise ValueError("per_item_log must have one entry per label")
     footer = [

@@ -97,7 +97,10 @@ class ExperimentSpec:
         # 2k derived seeds and one row per training size (about 22 and 233 bytes; 64 and
         # 512 bound them). The serial tracemalloc slope is 1.1-2.6 KB per replicate
         per_replicate = 2048 + 64 * 2 * self.k + 512 * len(self.training_sizes)
-        return 2 * (stored + transient) + self.replicates * per_replicate
+        # classifying the test set: its labelings, scores, (values x classes) arrays and greedy
+        # tables (tracemalloc, all-distinct values: 313 bytes a test item at k = 2, 525 at k = 8)
+        classify = self.test_size * (256 + 64 * self.k)
+        return 2 * (stored + transient) + classify + self.replicates * per_replicate
 
 
 @dataclass(frozen=True)
@@ -185,10 +188,7 @@ def run_convergence_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
 
     stacked = np.array(per_replicate)  # (replicates, sizes, metrics)
     means = stacked.mean(axis=0)
-    if spec.replicates > 1:
-        sds = stacked.std(axis=0, ddof=1)
-    else:
-        sds = np.zeros_like(means)
+    sds = stacked.std(axis=0, ddof=min(1, spec.replicates - 1))  # exactly 0.0 for one replicate
     _write_outputs(spec, stacked, means, sds)
     return [
         ExperimentRow(m, *means[j].tolist(), *sds[j].tolist())

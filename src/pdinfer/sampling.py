@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpeciesCounts, _as_ids, _as_int, _check_psi, _unchecked
+from .core import SpeciesCounts, _as_ids, _as_int, _check_psi, _contiguous, _unchecked
 
 __all__ = [
     "GeneratedSequence",
@@ -61,27 +61,24 @@ class UrnConfig:
 class GeneratedSequence:
     """One generated sequence and the seed used, with its frequency table on demand.
 
-    ``values[i]`` is the species id of observation ``i``, a read-only int64
+    ``values[i]`` is the species id of observation ``i``, a read-only 1-d int64
     array; ids form the contiguous range ``0 .. k_obs - 1`` in order of first
-    appearance, so they are counted directly as indices. The constructor
-    copies a caller's values through the integer gate and counts them at
-    once (``ValueError`` on an id not below the sequence length or a gap in
-    the range); :func:`sample_sequence`, whose ids are contiguous by
-    construction, leaves ``counts`` to the first read.
+    appearance. The constructor copies a caller's values through the integer
+    gate and counts them at once with :meth:`SpeciesCounts.from_values`, whose
+    memory follows the length whatever the ids (``ValueError`` names the first
+    id missing from the range); :func:`sample_sequence`, whose ids are
+    contiguous by construction, leaves ``counts`` to the first read.
     """
 
     values: np.ndarray
     seed_used: int
 
     def __post_init__(self) -> None:
-        values = np.array(_as_ids(self.values))
-        if values.size and values.max() >= values.size:
-            raise ValueError("species ids must be the contiguous range 0 .. k_obs - 1")
-        counts = np.bincount(values)
+        values = np.array(_as_ids(self.values, ndim=1))
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        # the checked table fills the cache, so the gap check and counts cost one pass
-        self.__dict__["counts"] = SpeciesCounts(np.arange(counts.size), counts)
+        # the checked table fills the cache
+        self.__dict__["counts"] = _contiguous(SpeciesCounts.from_values(values), "species ids")
 
     @functools.cached_property
     def counts(self) -> SpeciesCounts:

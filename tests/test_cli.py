@@ -604,6 +604,49 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert f"{paths['gap']}: class ids must be contiguous" in stderr
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["test", "--mode", "lm", "--psi0", "1", "--input", "{aab}", "{aab}"], EXIT_USAGE,
+             "usage error: --mode lm requires exactly one --input file"),
+            (["classify", "--mode", "marginal", "--train", "{one_class}", "--test", "{aab}",
+              "--out", "{out}"], EXIT_DATA,
+             "data error: {one_class}: need at least 2 training classes"),
+            (["classify", "--mode", "marginal", "--train", "{train}", "--test", "{aab}",
+              "--out", "{out}", "--score-against-truth"], EXIT_DATA,
+             "data error: {aab}: --score-against-truth requires a labeled test file"),
+            (["mle", "--input", "{train}", "--per-class=maybe"], EXIT_USAGE,
+             "usage error: argument --per-class: expects true/false/yes/no/1/0, got 'maybe'"),
+            (["sample", "--manifest", "{no_equals}"], EXIT_USAGE,
+             "usage error: manifest line 1: expected 'key = value'"),
+            (["sample", "--manifest", "{open_quote}"], EXIT_USAGE,
+             "usage error: manifest {open_quote}: No closing quotation"),
+            (["test", "--mode", "lm", "--psi0", "1", "--input", "{one}"], EXIT_NUMERIC,
+             "numeric error: information is zero: test undefined for n=1"),
+            (["mle", "--input", "{gap_at_7}", "--per-class"], EXIT_DATA,
+             "data error: {gap_at_7}: class ids must be contiguous 0..k-1, but 7 is missing"),
+        ],
+        ids=["lm-two-inputs", "one-class-training", "truth-unlabeled-test", "per-class-maybe",
+             "manifest-no-equals", "manifest-open-quote", "lm-one-record", "labels-gap-at-7"],
+    )
+    def test_refusal_exit_code_and_message(self, aab_file, tmp_path, capsys, argv, code, message):
+        paths = {name: tmp_path / f"{name}.tsv" for name in
+                 ("one_class", "train", "out", "no_equals", "open_quote", "one", "gap_at_7")}
+        paths["aab"] = aab_file
+        paths["one_class"].write_text("# pd-infer v1 labeled n=3\n0\t0\n0\t1\n0\t1\n")
+        paths["train"].write_text("# pd-infer v1 labeled n=6\n0\t0\n0\t0\n0\t1\n1\t2\n1\t2\n1\t3\n")
+        paths["no_equals"].write_text("psi 2.5\n")
+        paths["open_quote"].write_text(f"psi = 2.5\nn = 4\nout = \"{tmp_path / 'x.tsv'}\n")
+        paths["one"].write_text("# pd-infer v1 unlabeled n=1\n0\n")
+        labels = [label for label in range(20_001) if label != 7]
+        paths["gap_at_7"].write_text(
+            f"# pd-infer v1 labeled n={len(labels)}\n" + "".join(f"{c}\t0\n" for c in labels)
+        )
+        got, _, stderr = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert got == code
+        assert stderr == f"pd-infer: {message.format(**paths)}\n"
+        assert not paths["out"].exists() and not (tmp_path / "x.tsv").exists()
+
     def test_out_of_memory_numeric_error(self, tmp_path, capsys, monkeypatch):
         def exhausted(psi, n, rng):
             raise MemoryError("Unable to allocate 7.45 GiB")

@@ -253,8 +253,11 @@ class TestPartition:
             (((1, 3), (2,)), "integers"),
             (((1, 2**64),), "64-bit"),
             ("13", "integers"),
+            (((2, 1), (1, 1)), "unique ascending t"),
+            (((4, 1),), "abundance 4 exceeds sample size 3"),
+            (((1, 3), (2, 0)), "rho_2 must be positive"),
         ],
-        ids=["triple", "ragged", "past-int64", "string"],
+        ids=["triple", "ragged", "past-int64", "string", "unsorted-t", "t-past-n", "zero-rho"],
     )
     def test_entries_go_through_the_gate(self, rho, message):
         with pytest.raises(ValueError, match=message):

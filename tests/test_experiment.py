@@ -1,9 +1,11 @@
 """Tests for the convergence-study harness."""
 
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +52,28 @@ class TestExperimentSpec:
         # default 2 GiB cap; only the spec is built, so nothing is allocated
         with pytest.raises(ValueError, match="memory"):
             small_spec(tmp_path, replicates=10**9, memory_cap_bytes=2 * 2**30)
+
+
+@pytest.mark.parametrize(
+    "psis",
+    [(1.0, 1.0), (1.0, 10.0, 50.0), (1e6,) * 8],
+    ids=["k2-psi1", "k3-psi1-10-50", "k8-all-distinct"],
+)
+def test_memory_estimate_bounds_traced_peak(tmp_path, psis):
+    # one replicate whose test set dominates: 1000 test items and 100 training
+    # items per class; at psi = 1e6 every class's test values are all distinct
+    k = len(psis)
+    spec = small_spec(tmp_path, psis=psis, training_sizes=(100 * k,), test_size=1000 * k,
+                      replicates=1)
+    # a first run pays the one-time imports, which are no working memory of a study
+    run_convergence_experiment(dataclasses.replace(spec, output_path=tmp_path / "warm"))
+    tracemalloc.start()
+    try:
+        run_convergence_experiment(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= spec.estimated_memory_bytes()
 
 
 def _top_level_modules_after_import(*roots: str) -> str:
@@ -169,6 +193,27 @@ class TestRunConvergenceExperiment:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_one_replicate_files_byte_for_byte(self, tmp_path):
+        # sds of one replicate are exactly 0.0; these digests were recorded when
+        # that case was a branch of its own, so the shared std call must keep every byte
+        spec = small_spec(tmp_path, replicates=1)
+        rows = run_convergence_experiment(spec)
+        assert all(row.sd_err_marginal == row.sd_disagreement == 0.0 for row in rows)
+        digests = {
+            "replicates.tsv": "5365827f8fad1b51551ee0c8df4a27ffc545fc70569751204579e9e92117ab47",
+            "series_disagreement.tsv":
+                "65d18ba955091e0d044426f65b7ae75e33ce86592c78b29bb3d7376864015c77",
+            "series_err_marginal.tsv":
+                "f4528c0dd2ac426889fc3273f6b81e9896b1aec1e6f29b6ddc0d6a806d8e3ac9",
+            "series_err_simultaneous.tsv":
+                "3f7929124fffa103b96ebc8f0f3267d543ce15f869c9bee4647e078ea7c3480f",
+            "summary.tsv": "e41d2cac8a730b2270abd98c52aaa93ab99eb84a53f1e0135967bf5a3b64a7c6",
+        }
+        assert {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in spec.output_path.iterdir()
+        } == digests
 
     def test_summary_reproducible_from_raw_rows(self, tmp_path):
         spec = small_spec(tmp_path)

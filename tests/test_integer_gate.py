@@ -2,9 +2,12 @@
 
 Under partition exchangeability an id is only a label, so a float id read as
 its integer part merges two species and changes K_n. Each refusal row below
-is an input that an entry point once truncated, parsed, read as 0/1, wrapped
-or failed on with a ``TypeError``; each acceptance row pins an integer input
-that must keep working.
+is an input that an entry point once truncated, parsed, read as 0/1, wrapped,
+failed on with a ``TypeError`` or a numpy error, or refused with another
+rule's message, or a refusal that no other test reaches; each acceptance row
+pins an integer input that must keep working. The gate also owns two rules on
+id arrays: where one is required, an array must be 1-d, and ids that number
+classes or species must run exactly 0..k-1 (the first missing id is named).
 """
 
 import numpy as np
@@ -19,6 +22,7 @@ from pdinfer import (
     chi_square_sf,
     classify_marginal,
     classify_simultaneous,
+    counts_by_class,
     derive_seeds,
     expected_distinct,
     predictive_prob,
@@ -28,6 +32,7 @@ from pdinfer import (
     train_from_counts,
     write_dataset,
 )
+from pdinfer.dataio import write_classification
 
 COUNTS = SpeciesCounts([1], [3])
 MODEL = train_from_counts([SpeciesCounts([0, 1], [2, 1]), SpeciesCounts([0, 1, 2], [1, 1, 3])])
@@ -60,6 +65,16 @@ REFUSED = {
     "partition-dense-float": (lambda p: Partition.from_dense([1.0]), "multiplicities"),
     "generated-float-values": (lambda p: GeneratedSequence(np.array([0.0, 1.5]), 1), "integers"),
     "generated-negative": (lambda p: GeneratedSequence(np.array([0, -1]), 1), "non-negative"),
+    "generated-2d": (lambda p: GeneratedSequence([[0, 1]], 0), "^species ids must be a 1-d array$"),
+    "generated-gap": (
+        lambda p: GeneratedSequence([0, 2, 2], 0), "species ids .*, but 1 is missing$"),
+    "from_values-2d": (lambda p: SpeciesCounts.from_values([[0, 1]]), "1-d"),
+    "counts_by_class-2d-labels": (lambda p: counts_by_class([[0, 1]], [0, 1]), "class ids .*1-d"),
+    "counts_by_class-2d-values": (lambda p: counts_by_class([0, 1], [[0, 1]]), "species ids .*1-d"),
+    "counts_by_class-gap": (
+        lambda p: counts_by_class([0, 2], [5, 5]), "class ids .*, but 1 is missing$"),
+    "counts_by_class-lengths": (lambda p: counts_by_class([0, 1], [1]), "equal length"),
+    "labeled-dataset-no-class": (lambda p: sample_labeled_dataset([], 3, 1), "one class"),
     "marginal-bool-value": (lambda p: classify_marginal(MODEL, [True, 2]), "integers"),
     "marginal-negative-value": (lambda p: classify_marginal(MODEL, [-1, 2]), "non-negative"),
     "marginal-2d-value": (lambda p: classify_marginal(MODEL, np.array([[1, 2]])), "1-d"),
@@ -69,6 +84,11 @@ REFUSED = {
         lambda p: write_dataset(p / "d.tsv", np.array([2**63], dtype=np.uint64)), "64-bit"),
     "write-float-labels": (
         lambda p: write_dataset(p / "d.tsv", [0, 1], labels=[0.5, 1]), "integers"),
+    "write-2d": (lambda p: write_dataset(p / "d.tsv", [[0, 1]]), "1-d"),
+    "write-2d-labels": (lambda p: write_dataset(p / "d.tsv", [0, 1], labels=[[0, 1]]), "1-d"),
+    "write_classification-2d": (
+        lambda p: write_classification(p / "r.tsv", [[0, 1]], [[-1.0, -1.0]], -2.0, 1, True),
+        "class ids must be a 1-d array"),
     "expected_distinct-float-n": (lambda p: expected_distinct(1.0, 10.7), "integer"),
     "expected_distinct-uint64-past-int64": (
         lambda p: expected_distinct(1.0, np.uint64(2**63)), "below 9223372036854775808"),

@@ -73,8 +73,10 @@ class TestSampleSequence:
 
     @pytest.mark.parametrize("values", [[0, 5], [1], [0, 2, 2], [2**40]])
     def test_counts_reject_non_contiguous_ids(self, values):
-        # ids are counted as indices; one past the length is refused before any allocation
-        with pytest.raises(ValueError):
+        # the first id missing from 0..k-1 is named; an id past the length is
+        # sorted, not binned, so nothing large is allocated
+        missing = min(set(range(len(values) + 1)) - set(values))
+        with pytest.raises(ValueError, match=f"but {missing} is missing"):
             GeneratedSequence(np.array(values), seed_used=0)
 
     @pytest.mark.parametrize("psi", [1e-10, 0.3, 1.0, 10.0, 50.0, 1e3, 1e10])
