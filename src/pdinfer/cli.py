@@ -17,10 +17,12 @@ usage error. ``--per-class`` and ``--score-against-truth`` optionally take
 true/false/yes/no/1/0.
 
 Exit codes: 0 success (warnings allowed; each degenerate fit adds one
-``pd-infer: warning: ...`` line on stderr), 1 usage error (including any
-``experiment --workers`` other than 1, a ``--memory-cap-gb`` whose byte count
-is not finite, from about 1.7e299 up, and a study whose estimated memory,
-which grows with ``--replicates`` and ``--test-size``, exceeds the cap), 2
+``pd-infer: warning: ...`` line on stderr), 1 usage error (including an
+integer flag not in ASCII digits with an optional ``-``, such as ``+5``,
+``1_000`` or ``٣``, any ``experiment --workers`` other than 1, a
+``--memory-cap-gb`` whose byte count is not finite, from about 1.7e299 up,
+and a study whose estimated memory, which grows with ``--replicates`` and
+``--test-size``, exceeds the cap), 2
 data/parse error (including a dataset with no records, a file that is not
 UTF-8 and class ids that are not contiguous), 3 numeric/degeneracy error or
 out of memory (one line on stderr, no traceback).
@@ -40,6 +42,7 @@ from . import __version__
 from .classify import classify_marginal, classify_simultaneous, counts_by_class, train_from_counts
 from .core import SpeciesCounts, _as_int, _check_psi, partition_of
 from .dataio import (
+    _INT_RE,
     Dataset,
     DatasetFormatError,
     KIND_LABELED,
@@ -79,10 +82,18 @@ def _arg_type(convert: Callable[[str], object]) -> Callable[[str], object]:
     return parse
 
 
+def _integer(text: str) -> int:
+    """``text`` as an int if it is ``-?[0-9]+``, the integers dataset files hold."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"expects an integer, got {text!r}")
+    return int(text)
+
+
 _psi = _arg_type(lambda text: _check_psi(float(text)))
-_seed = _arg_type(lambda text: _check_seed(int(text)))
-_ints = _arg_type(lambda text: tuple(int(part) for part in text.split(",") if part.strip()))
-_count = _arg_type(lambda text: _as_int(int(text), "value"))
+_seed = _arg_type(lambda text: _check_seed(_integer(text)))
+_int = _arg_type(_integer)
+_ints = _arg_type(lambda text: tuple(_integer(p.strip()) for p in text.split(",") if p.strip()))
+_count = _arg_type(lambda text: _as_int(_integer(text), "value"))
 
 
 @_arg_type
@@ -362,13 +373,13 @@ def build_parser() -> _Parser:
     p_exp.add_argument("--psis", type=_psis, default="1,10,50", help="per-class dispersal values")
     p_exp.add_argument("--training-sizes", type=_ints, default="1000,10000,100000,200000",
                        help="total training sizes (desk-scale default; raise for larger studies)")
-    p_exp.add_argument("--test-size", type=int, default=2000)
-    p_exp.add_argument("--replicates", type=int, default=5)
+    p_exp.add_argument("--test-size", type=_int, default=2000)
+    p_exp.add_argument("--replicates", type=_int, default=5)
     p_exp.add_argument("--seed", type=_seed, default=100)
     p_exp.add_argument("--out", required=True, help="output directory")
     p_exp.add_argument("--memory-cap-gb", type=_gib_to_bytes, default="2.0",
                        dest="memory_cap_bytes")
-    p_exp.add_argument("--workers", type=int, choices=(1,),
+    p_exp.add_argument("--workers", type=_int, choices=(1,),
                        help="accepted only as 1: the study runs in one process")
 
     return parser

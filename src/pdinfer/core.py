@@ -7,7 +7,10 @@ either. This module owns the two data containers and the one home of each
 formula: the log rising factorial, :func:`_distinct_and_slope` (the only sum
 over ``psi + j``, giving ``E[K_n]`` and ``Var[K_n]`` to the fit and both tests)
 and the predictive factor :func:`_log_factor`. Each sum adds its first 50 terms
-directly and the rest by asymptotic series, in O(1) time and memory.
+directly and the rest by asymptotic series, in O(1) time and memory; the 50
+terms' ``j`` is a slice of one shared read-only array, ``_J``, so no call
+builds its own. :func:`_prefix_tables` grows a urn pool's frequency table
+prefix by prefix, counting each item once.
 
 Species identifiers are opaque non-negative integers assigned by ingestion
 code in order of first appearance; no numeric result may depend on their
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +51,9 @@ __all__ = [
 # 90-digit values for psi in [1e-10, 1e15] and n up to 1e11, E[K_n] and the log rising
 # factorial are within 3.3e-16 relative, Var[K_n] within 2.4e-14 where n >= 1e-2 psi.
 _HEAD = 50
+# j = 0 .. _HEAD - 1 of every head, shared read-only; ``_J[:n]`` takes min(n, _HEAD) of them
+_J = np.arange(float(_HEAD))
+_J.flags.writeable = False
 
 # Where n <= _POWER_SUM_RATIO * psi, Var[K_n] comes from power sums (within 2.3e-16):
 # the series difference cancels to about psi / n ulps (8.4e-13 at n = 1e-4 psi).
@@ -241,6 +247,24 @@ class SpeciesCounts:
         return np.where(found, self.counts.take(at, mode="clip"), 0)
 
 
+def _prefix_tables(values: np.ndarray, ends: Iterable[int]) -> Iterator[SpeciesCounts]:
+    """The frequency table of ``values[:end]`` for each ``end``, in turn.
+
+    Preconditions, not checked: ``ends`` ascend (repeats allowed) up to
+    ``values.size``, and ``values`` is an int64 array of first-appearance ids,
+    as the urn draws them, so every id below a prefix's largest id appears in
+    that prefix and the table's ids are ``0..k-1``. Each table is the previous
+    one's counts plus those of the items since its end: every item is counted
+    once, and only the table last yielded is held.
+    """
+    counts, start = np.zeros(0, dtype=np.int64), 0
+    for end in ends:
+        grown = np.bincount(values[start:end], minlength=counts.size)
+        grown[: counts.size] += counts
+        counts, start = grown, end
+        yield _unchecked(SpeciesCounts, ids=np.arange(counts.size), counts=counts, n=end)
+
+
 @dataclass(frozen=True)
 class Partition:
     """Abundance partition of a sample of size ``n``.
@@ -315,7 +339,7 @@ def partition_of(counts: SpeciesCounts) -> Partition:
 
 def _log_rising_factorial(psi: float, n: int) -> float:
     """log of psi * (psi + 1) * ... * (psi + n - 1), in O(1) time and memory."""
-    log_head = float(np.log(psi + np.arange(min(n, _HEAD), dtype=np.float64)).sum())
+    log_head = float(np.add.reduce(np.log(psi + _J[:n])))
     if n <= _HEAD:
         return log_head
     # lgamma(z1) - lgamma(z0), the leading log as log1p
@@ -346,12 +370,12 @@ def _distinct_and_slope(psi: float, n: int) -> tuple[float, float]:
     ``_HEAD`` terms are summed directly (each factor is at most 1, so no
     finite ``psi > 0`` overflows one), the rest in O(1) by series.
     """
-    j = np.arange(min(n, _HEAD), dtype=np.float64)
+    j = _J[:n]
     total = psi + j
     share = psi / total
-    j /= total
-    j *= share
-    distinct, variance = float(share.sum()), float(j.sum())
+    slope = np.divide(j, total, out=total)
+    slope *= share
+    distinct, variance = float(np.add.reduce(share)), float(np.add.reduce(slope))
     if n <= _HEAD:
         return distinct, variance
     # gap = sum of 1 / (psi + j) over _HEAD <= j < n, without cancellation when psi >> n

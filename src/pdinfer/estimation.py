@@ -87,8 +87,13 @@ def _residual_tolerance(k: float) -> float:
 
 def _gap_and_slope(psi: float, k_total: int, sizes: Sequence[int]) -> tuple[float, float]:
     """``sum_s expected_distinct(psi, n_s) - k_total`` and its slope in ``log psi``."""
-    pairs = [_distinct_and_slope(psi, n) for n in sizes]
-    return sum(e for e, _ in pairs) - k_total, sum(d for _, d in pairs)
+    # from int 0, left to right, as sum() adds
+    distinct = slope = 0
+    for n in sizes:
+        e, d = _distinct_and_slope(psi, n)
+        distinct += e
+        slope += d
+    return distinct - k_total, slope
 
 
 def _newton(k_total: int, sizes: Sequence[int]) -> tuple[float, int, float]:

@@ -5,7 +5,7 @@ set from the same dispersal parameters, then classifies the test set with
 both classifiers at every requested training size, reusing nested prefixes
 of the pools (growing the training data extends it rather than redrawing,
 which keeps the convergence curve smooth). Only the drawn values are kept,
-and each training prefix is counted when it is used. One simultaneous
+and each prefix table is grown from the previous one. One simultaneous
 classification per training size gives both labelings: the marginal one is
 the ``start`` it returns. Results are averaged over replicates and written,
 in the v1 text format of :mod:`pdinfer.dataio`, as tab-separated tables plus
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .classify import classify_simultaneous, train_from_counts
-from .core import SpeciesCounts, _as_int, _check_psi
+from .core import _as_int, _check_psi, _prefix_tables
 from .dataio import _write_v1
 from .sampling import UrnConfig, _check_seed, derive_seeds, sample_sequence
 
@@ -143,11 +143,11 @@ def _replicate_metrics(
         ]
     )
     truth = np.repeat(np.arange(k), test_per_class)
+    per_class = [m // k for m in spec.training_sizes]
 
     metrics = []
-    for m in spec.training_sizes:
-        per_class = m // k
-        model = train_from_counts([SpeciesCounts.from_values(pool[:per_class]) for pool in pools])
+    for tables in zip(*(_prefix_tables(pool, per_class) for pool in pools)):
+        model = train_from_counts(tables)
         simultaneous = classify_simultaneous(model, test_values)
         marginal = simultaneous.start
         metrics.append(

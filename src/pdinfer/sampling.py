@@ -12,10 +12,13 @@ whole sequence can be generated vectorized: sample the new/old flags and the
 copy sources up front, then resolve the copy chains by pointer doubling.
 The new positions (the roots) point to themselves, and the doubling stops at
 its fixed point, where every position points to its chain's root, after
-O(log n) rounds. A root's species id is its rank among the roots, so the ids
-follow first appearance. This is the same process as the sequential loop,
-just a few orders of magnitude faster, and it works in three length-n
-buffers. A sampled sequence is counted only when its ``counts`` is read.
+O(log n) rounds. The fixed point is found by a sum: every pointer moves only
+to an earlier position, so a round can only lower pointers, and a round that
+leaves the pointers' sum unchanged has left every pointer unchanged. A root's
+species id is its rank among the roots, so the ids follow first appearance.
+This is the same process as the sequential loop, just a few orders of
+magnitude faster, and it works in three length-n buffers. A sampled sequence
+is counted only when its ``counts`` is read.
 """
 
 from __future__ import annotations
@@ -123,11 +126,16 @@ def _urn_values(psi: float, n: int, rng: np.random.Generator) -> np.ndarray:
     # pointer doubling: after k rounds each position points 2^k steps up its
     # copy chain, clamped at the roots, the only positions that point to
     # themselves. take(mode="clip") never clips, every index being in range;
-    # mode="raise" would buffer ``out``
+    # mode="raise" would buffer ``out``. A pointer only moves to an earlier
+    # position, so grand <= parent elementwise and equal sums mean equal
+    # arrays; the sums differ by less than n^2 / 2 < 2^64 at any n that fits
+    # in memory, so their int64 wrap-around cannot make them meet early
     grand = draws.view(np.int64)
+    total = int(parent.sum())
     while True:
         parent.take(parent, out=grand, mode="clip")
-        if (grand == parent).all():
+        total, previous = int(grand.sum()), total
+        if total == previous:
             break
         parent, grand = grand, parent
     # the last gather equals parent, so its buffer is free to map roots to ranks

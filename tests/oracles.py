@@ -13,6 +13,7 @@ import mpmath
 import numpy as np
 
 from pdinfer import esf_log_pmf
+from pdinfer.core import _HEAD, _POWER_SUM_RATIO, _stirling_tails
 
 
 def integer_partitions(n):
@@ -46,6 +47,48 @@ def urn_values_reference(psi: float, n: int, rng: np.random.Generator) -> np.nda
         parent = parent[parent]
     species_at_root = np.cumsum(is_new) - 1
     return species_at_root[parent]
+
+
+def log_rising_factorial_reference(psi: float, n: int) -> float:
+    """``core._log_rising_factorial`` with its head over a fresh ``arange``, as first written.
+
+    Kept as the reference for rewrites of the head: same elementwise operations
+    and the same pairwise sum, so results must match bit for bit. The series
+    past the head is core's own.
+    """
+    log_head = float(np.log(psi + np.arange(min(n, _HEAD), dtype=np.float64)).sum())
+    if n <= _HEAD:
+        return log_head
+    m, z0, z1 = n - _HEAD, psi + _HEAD, psi + n
+    tails = _stirling_tails(z1)[0] - _stirling_tails(z0)[0]
+    return log_head + (z0 - 0.5) * math.log1p(m / z0) + m * math.log(z1) - m + tails
+
+
+def distinct_and_slope_reference(psi: float, n: int) -> tuple[float, float]:
+    """``core._distinct_and_slope`` with its head over a fresh ``arange``, as first written.
+
+    Kept as the reference for rewrites of the head, like
+    :func:`log_rising_factorial_reference`.
+    """
+    j = np.arange(min(n, _HEAD), dtype=np.float64)
+    total = psi + j
+    share = psi / total
+    j /= total
+    j *= share
+    distinct, variance = float(share.sum()), float(j.sum())
+    if n <= _HEAD:
+        return distinct, variance
+    m, z0, z1 = n - _HEAD, psi + _HEAD, psi + n
+    _, d0, t0 = _stirling_tails(z0)
+    _, d1, t1 = _stirling_tails(z1)
+    gap = math.log1p(m / z0) + d1 - d0
+    distinct += psi * gap
+    if n > _POWER_SUM_RATIO * psi:
+        return distinct, variance + psi * (gap - psi * (m / z0 / z1 + t0 - t1))
+    x = 1 / psi
+    s1 = x * n * (n - 1) / 2
+    d = x * (2 * n - 1)
+    return distinct, s1 * (1 - 2 * d / 3 + 3 * x * s1 - 4 * d * (6 * x * s1 - x * x) / 15)
 
 
 def esf_prob_exact(rho: dict, psi: Fraction) -> Fraction:

@@ -625,9 +625,17 @@ class TestExitCodes:
              "numeric error: information is zero: test undefined for n=1"),
             (["mle", "--input", "{gap_at_7}", "--per-class"], EXIT_DATA,
              "data error: {gap_at_7}: class ids must be contiguous 0..k-1, but 7 is missing"),
+            # integer flags take the ASCII digits dataset files take, not all of int()
+            (["sample", "--psi", "1", "--n", "\u0663", "--out", "{out}"], EXIT_USAGE,
+             "usage error: argument --n: expects an integer, got '\u0663'"),
+            (["experiment", "--training-sizes", "1_000", "--out", "{out}"], EXIT_USAGE,
+             "usage error: argument --training-sizes: expects an integer, got '1_000'"),
+            (["sample", "--psi", "1", "--n", "3", "--seed", "+5", "--out", "{out}"], EXIT_USAGE,
+             "usage error: argument --seed: expects an integer, got '+5'"),
         ],
         ids=["lm-two-inputs", "one-class-training", "truth-unlabeled-test", "per-class-maybe",
-             "manifest-no-equals", "manifest-open-quote", "lm-one-record", "labels-gap-at-7"],
+             "manifest-no-equals", "manifest-open-quote", "lm-one-record", "labels-gap-at-7",
+             "n-arabic-indic-digit", "training-sizes-underscore", "seed-leading-plus"],
     )
     def test_refusal_exit_code_and_message(self, aab_file, tmp_path, capsys, argv, code, message):
         paths = {name: tmp_path / f"{name}.tsv" for name in
