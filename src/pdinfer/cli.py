@@ -19,11 +19,14 @@ true/false/yes/no/1/0.
 Exit codes: 0 success (warnings allowed; each degenerate fit adds one
 ``pd-infer: warning: ...`` line on stderr), 1 usage error (including an
 integer flag not in ASCII digits with an optional ``-``, such as ``+5``,
-``1_000`` or ``٣``, any ``experiment --workers`` other than 1, a
-``--memory-cap-gb`` whose byte count is not finite, from about 1.7e299 up,
-and a study whose estimated memory, which grows with ``--replicates`` and
-``--test-size``, exceeds the cap), 2
-data/parse error (including a dataset with no records, a file that is not
+``1_000`` or ``٣``; a number flag (``--psi``, ``--psi0``, ``--psis``,
+``--memory-cap-gb``) not in ASCII digits with an optional ``-``, ``.``
+fraction and ``e``/``E`` exponent, or ``inf``/``nan``, such as ``1_0``;
+any ``experiment --workers`` other than 1, a ``--memory-cap-gb`` whose byte
+count is not finite, from about 1.7e299 up, a study whose estimated memory,
+which grows with ``--replicates`` and ``--test-size``, exceeds the cap, and a
+``classify`` path with a line break, which the result's metadata cannot hold),
+2 data/parse error (including a dataset with no records, a file that is not
 UTF-8 and class ids that are not contiguous), 3 numeric/degeneracy error or
 out of memory (one line on stderr, no traceback).
 """
@@ -33,6 +36,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import shlex
 import sys
 from collections.abc import Callable
@@ -89,7 +93,18 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-_psi = _arg_type(lambda text: _check_psi(float(text)))
+# float() would also take "1_0" and other scripts' digits
+_REAL_RE = re.compile(r"(?ai)-?(([0-9]+(\.[0-9]*)?|\.[0-9]+)(e[-+]?[0-9]+)?|inf(inity)?|nan)")
+
+
+def _real(text: str) -> float:
+    """``text`` as a float if it is ASCII decimal or an inf/nan spelling, as floats print."""
+    if not _REAL_RE.fullmatch(text):
+        raise ValueError(f"expects a number, got {text!r}")
+    return float(text)
+
+
+_psi = _arg_type(lambda text: _check_psi(_real(text)))
 _seed = _arg_type(lambda text: _check_seed(_integer(text)))
 _int = _arg_type(_integer)
 _ints = _arg_type(lambda text: tuple(_integer(p.strip()) for p in text.split(",") if p.strip()))
@@ -98,7 +113,7 @@ _count = _arg_type(lambda text: _as_int(_integer(text), "value"))
 
 @_arg_type
 def _psis(text: str) -> tuple[float, ...]:
-    psis = tuple(_psi(part) for part in text.split(",") if part.strip())
+    psis = tuple(_psi(part.strip()) for part in text.split(",") if part.strip())
     if not psis:
         raise ValueError("expects at least one value")
     return psis
@@ -106,7 +121,7 @@ def _psis(text: str) -> tuple[float, ...]:
 
 @_arg_type
 def _gib_to_bytes(text: str) -> int:
-    cap = float(text) * 2**30
+    cap = _real(text) * 2**30
     if not math.isfinite(cap):
         raise ValueError(f"must be a finite number of bytes, got {text!r} GiB")
     return int(cap)
@@ -202,22 +217,15 @@ def _print_fit(fit: PsiEstimate, subject: str) -> None:
 def _cmd_sample(args: argparse.Namespace) -> int:
     psis, n, seed, out = args.psi, args.n, args.seed, Path(args.out)
 
-    metadata = {
-        "tool_version": __version__,
-        "command": "sample",
-        "psi": ",".join(f"{p:g}" for p in psis),
-        "n": n,
-        "seed": seed,
-    }
+    metadata = {"tool_version": __version__, "command": "sample",
+                "psi": ",".join(f"{p:g}" for p in psis), "n": n, "seed": seed}
     if len(psis) == 1:
         sequence = sample_sequence(UrnConfig(psis[0], n, seed))
         write_dataset(out, sequence.values, metadata=metadata)
         print(f"wrote {out} (unlabeled, n={n})")
         _print_counts(sequence.counts)
     else:
-        metadata["class_seeds"] = ",".join(
-            str(s) for s in derive_seeds(seed, len(psis))
-        )
+        metadata["class_seeds"] = ",".join(map(str, derive_seeds(seed, len(psis))))
         labels, values = sample_labeled_dataset(psis, n, seed)
         write_dataset(out, values, labels=labels, metadata=metadata)
         print(f"wrote {out} (labeled, k={len(psis)}, n per class={n})")
@@ -281,22 +289,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     else:
         result = classify_simultaneous(model, test.values)
 
-    metadata = {
-        "tool_version": __version__,
-        "command": "classify",
-        "mode": args.mode,
-        "train": args.train,
-        "test": args.test,
-    }
-    write_classification(
-        args.out,
-        result.labeling,
-        result.per_item_log,
-        result.log_score,
-        result.sweeps,
-        result.converged,
-        metadata=metadata,
-    )
+    metadata = {"tool_version": __version__, "command": "classify", "mode": args.mode,
+                "train": args.train, "test": args.test}
+    try:
+        write_classification(args.out, result.labeling, result.per_item_log, result.log_score,
+                             result.sweeps, result.converged, metadata=metadata)
+    except ValueError as exc:  # a --train or --test path the metadata cannot hold
+        raise UsageError(str(exc)) from None
     print(f"wrote {args.out} (mode={args.mode}, n={result.labeling.size})")
     print(f"total_log_score = {result.log_score:.12g}")
     print(f"sweeps = {result.sweeps}")

@@ -9,8 +9,9 @@ over ``psi + j``, giving ``E[K_n]`` and ``Var[K_n]`` to the fit and both tests)
 and the predictive factor :func:`_log_factor`. Each sum adds its first 50 terms
 directly and the rest by asymptotic series, in O(1) time and memory; the 50
 terms' ``j`` is a slice of one shared read-only array, ``_J``, so no call
-builds its own. :func:`_prefix_tables` grows a urn pool's frequency table
-prefix by prefix, counting each item once.
+builds its own. :func:`_first_appearance_table` is the one build of a table
+of first-appearance ids; :func:`_prefix_tables` grows a urn pool's table
+prefix by prefix with it, counting each item once.
 
 Species identifiers are opaque non-negative integers assigned by ingestion
 code in order of first appearance; no numeric result may depend on their
@@ -157,11 +158,11 @@ def _unchecked(cls: type, **fields: object):
     that are valid by construction (ids ascending, counts positive, mass ``n``).
     Array fields are made read-only, as the checked constructors make them.
     """
-    instance = object.__new__(cls)
-    for name, value in fields.items():
+    for value in fields.values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
-        object.__setattr__(instance, name, value)
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
     return instance
 
 
@@ -247,6 +248,11 @@ class SpeciesCounts:
         return np.where(found, self.counts.take(at, mode="clip"), 0)
 
 
+def _first_appearance_table(counts: np.ndarray, n: int) -> SpeciesCounts:
+    """The table of ids ``0..k-1`` with these positive ``counts`` of ``n`` first-appearance ids."""
+    return _unchecked(SpeciesCounts, ids=np.arange(counts.size), counts=counts, n=n)
+
+
 def _prefix_tables(values: np.ndarray, ends: Iterable[int]) -> Iterator[SpeciesCounts]:
     """The frequency table of ``values[:end]`` for each ``end``, in turn.
 
@@ -262,7 +268,7 @@ def _prefix_tables(values: np.ndarray, ends: Iterable[int]) -> Iterator[SpeciesC
         grown = np.bincount(values[start:end], minlength=counts.size)
         grown[: counts.size] += counts
         counts, start = grown, end
-        yield _unchecked(SpeciesCounts, ids=np.arange(counts.size), counts=counts, n=end)
+        yield _first_appearance_table(counts, end)
 
 
 @dataclass(frozen=True)

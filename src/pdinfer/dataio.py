@@ -24,14 +24,16 @@ decides what is accepted and names the first bad line.
 Classification results use the same comment conventions: one
 ``<index>\\t<predicted-class>\\t<log-score-contribution>`` line per test item
 and a footer with the total log score, sweep count, and convergence flag.
-The experiment's tables are v1 files too. This module is their only writer:
-every file goes through one private function that writes the magic line, the
-metadata lines and then the body.
+The experiment's tables are v1 files too. This module is their only writer,
+and :func:`_write_v1` the only code that makes rows text: it maps one row
+formatter over a batch of every column at a time, so no body is held whole as
+numbers or text. Metadata keys are ``[A-Za-z0-9_.-]+`` and no key or value
+may hold ``\\n`` or ``\\r``, which the reader would drop or split; the writer
+refuses them with ``ValueError`` before it opens the file.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -56,7 +58,8 @@ KIND_LABELED = "labeled"
 KIND_UNLABELED = "unlabeled"
 
 _MAGIC_RE = re.compile(r"^# pd-infer v1 (labeled|unlabeled) n=(\d+)\s*$")
-_META_RE = re.compile(r"^#\s*([A-Za-z0-9_.-]+)\s*=\s*(.*?)\s*$")
+_META_KEY_RE = re.compile(r"[A-Za-z0-9_.-]+")
+_META_RE = re.compile(rf"^#\s*({_META_KEY_RE.pattern})\s*=\s*(.*?)\s*$")
 _LEADING_COMMENTS_RE = re.compile(r"(?:#[^\n]*\n)*")
 _FAST_CHARS = b"0123456789 \t\n"
 _ID_MAX_DIGITS = str(_ID_LIMIT - 1).encode()
@@ -84,25 +87,29 @@ class Dataset:
         return int(self.values.size)
 
 
-def _write_v1(
-    path: str | Path,
-    title: str,
-    metadata: Mapping[str, object] | None,
-    body: Iterable[str],
-) -> None:
-    """Write a v1 text file: the magic line, ``# key = value`` metadata lines, then ``body``.
+def _write_v1(path, title, metadata, row, columns, names=(), footer=()) -> None:
+    """Write a v1 file: magic line, metadata, ``# columns:`` line if ``names``, body, ``footer``.
 
-    Lines are joined and written a batch at a time, so a large body is never
-    held as one list of lines.
+    The body has one ``row(*fields)`` line per index of the equal-length
+    ``columns`` (arrays or ranges), a batch of each at a time; ``metadata`` is
+    a mapping or None (see the module docstring).
     """
-    lines = itertools.chain(
-        [f"# {FORMAT_VERSION} {title}"],
-        (f"# {key} = {value}" for key, value in (metadata or {}).items()),
-        body,
-    )
+    head = [f"# {FORMAT_VERSION} {title}"]
+    for key, value in (metadata or {}).items():
+        line = f"# {key} = {value}"
+        if not _META_KEY_RE.fullmatch(str(key)) or "\n" in line or "\r" in line:
+            raise ValueError(f"metadata {key!r} = {value!r}: a key is [A-Za-z0-9_.-]+ "
+                             "and no key or value may hold a line break")
+        head.append(line)
+    if names:
+        head.append("# columns: " + "\t".join(names))
     with Path(path).open("w", encoding="utf-8") as handle:
-        while batch := list(itertools.islice(lines, _WRITE_BATCH)):
-            handle.write("\n".join(batch) + "\n")
+        handle.write("\n".join(head) + "\n")
+        for i in range(0, len(columns[0]), _WRITE_BATCH):
+            batch = (c[i : i + _WRITE_BATCH] for c in columns)
+            fields = (b.tolist() if isinstance(b, np.ndarray) else b for b in batch)
+            handle.write("\n".join(map(row, *fields)) + "\n")
+        handle.write("".join(line + "\n" for line in footer))
 
 
 def write_dataset(
@@ -113,17 +120,18 @@ def write_dataset(
 ) -> None:
     """Write a dataset file; labeled when ``labels`` is given.
 
-    Ids that :func:`read_dataset` would refuse raise ``ValueError`` before the file is opened.
+    Ids that :func:`read_dataset` would refuse, and metadata it would misread,
+    raise ``ValueError`` before the file is opened.
     """
     values = _as_ids(values, ndim=1)
     if labels is None:
-        kind, body = KIND_UNLABELED, map(str, values.tolist())
+        kind, row, columns = KIND_UNLABELED, str, (values,)
     else:
         labels = _as_ids(labels, "class ids", ndim=1)
         if labels.shape != values.shape:
             raise ValueError("labels and values must have the same length")
-        kind, body = KIND_LABELED, map("{}\t{}".format, labels.tolist(), values.tolist())
-    _write_v1(path, f"{kind} n={values.size}", metadata, body)
+        kind, row, columns = KIND_LABELED, "{}\t{}".format, (labels, values)
+    _write_v1(path, f"{kind} n={values.size}", metadata, row, columns)
 
 
 def _parse_record(line: str, line_number: int, labeled: bool) -> list[int]:
@@ -271,15 +279,7 @@ def write_classification(
     contributions = np.asarray(per_item_log, dtype=np.float64)
     if contributions.shape != labeling.shape:
         raise ValueError("per_item_log must have one entry per label")
-    footer = [
-        f"# total_log_score = {log_score:.17g}",
-        f"# sweeps = {_as_int(sweeps, 'sweeps', 0)}",
-        f"# converged = {str(bool(converged)).lower()}",
-    ]
-    # one batch of items at a time becomes Python numbers and lines
-    rows = itertools.chain.from_iterable(
-        map("{}\t{}\t{:.17g}".format, range(i, i + _WRITE_BATCH),
-            labeling[i : i + _WRITE_BATCH].tolist(), contributions[i : i + _WRITE_BATCH].tolist())
-        for i in range(0, labeling.size, _WRITE_BATCH)
-    )
-    _write_v1(path, f"classification n={labeling.size}", metadata, itertools.chain(rows, footer))
+    footer = [f"# total_log_score = {log_score:.17g}", f"# sweeps = {_as_int(sweeps, 'sweeps', 0)}",
+              f"# converged = {str(bool(converged)).lower()}"]
+    _write_v1(path, f"classification n={labeling.size}", metadata, "{}\t{}\t{:.17g}".format,
+              (range(labeling.size), labeling, contributions), footer=footer)

@@ -36,8 +36,6 @@ __all__ = [
     "run_convergence_experiment",
 ]
 
-_SUMMARY_FILE = "summary.tsv"
-_REPLICATES_FILE = "replicates.tsv"
 # the per-size metrics, in the order of every output column and of ExperimentRow's fields
 _METRICS = ("err_marginal", "err_simultaneous", "disagreement")
 
@@ -202,24 +200,20 @@ def _write_outputs(
     out = spec.output_path
     out.mkdir(parents=True, exist_ok=True)
     metadata = _metadata(spec)
-    sizes = spec.training_sizes
+    sizes = np.array(spec.training_sizes)
+    replicates = stacked.shape[0]
 
-    summary = ["# columns: m" + "".join(f"\t{name}_mean\t{name}_sd" for name in _METRICS)]
-    summary.extend(
-        f"{m}" + "".join(f"\t{mean:.6f}\t{sd:.6f}" for mean, sd in zip(means[j], sds[j]))
-        for j, m in enumerate(sizes)
-    )
-    _write_v1(out / _SUMMARY_FILE, "experiment-summary", metadata, summary)
+    stats = [column for i in range(len(_METRICS)) for column in (means[:, i], sds[:, i])]
+    _write_v1(out / "summary.tsv", "experiment-summary", metadata,
+              "\t".join(["{}"] + ["{:.6f}"] * len(stats)).format, [sizes, *stats],
+              names=["m", *(f"{name}_{stat}" for name in _METRICS for stat in ("mean", "sd"))])
 
-    raw = ["# columns: replicate\tm\t" + "\t".join(_METRICS)]
-    raw.extend(
-        f"{r}\t{m}" + "".join(f"\t{value:.17g}" for value in stacked[r, j])
-        for r in range(stacked.shape[0])
-        for j, m in enumerate(sizes)
-    )
-    _write_v1(out / _REPLICATES_FILE, "experiment-replicates", metadata, raw)
+    values = [stacked[:, :, i].ravel() for i in range(len(_METRICS))]
+    _write_v1(out / "replicates.tsv", "experiment-replicates", metadata,
+              "\t".join(["{}", "{}"] + ["{:.17g}"] * len(values)).format,
+              [np.repeat(np.arange(replicates), sizes.size), np.tile(sizes, replicates), *values],
+              names=["replicate", "m", *_METRICS])
 
     for i, name in enumerate(_METRICS):
-        lines = ["# columns: m\tvalue"]
-        lines.extend(f"{m}\t{value:.17g}" for m, value in zip(sizes, means[:, i]))
-        _write_v1(out / f"series_{name}.tsv", f"series {name}", metadata, lines)
+        _write_v1(out / f"series_{name}.tsv", f"series {name}", metadata, "{}\t{:.17g}".format,
+                  [sizes, means[:, i]], names=["m", "value"])

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpeciesCounts, _as_ids, _as_int, _check_psi, _contiguous, _unchecked
+from .core import (SpeciesCounts, _as_ids, _as_int, _check_psi, _contiguous,
+                   _first_appearance_table, _unchecked)
 
 __all__ = [
     "GeneratedSequence",
@@ -86,9 +87,7 @@ class GeneratedSequence:
     @functools.cached_property
     def counts(self) -> SpeciesCounts:
         """Frequency table of ``values``, counted on first read."""
-        counts = np.bincount(self.values)
-        ids = np.arange(counts.size)
-        return _unchecked(SpeciesCounts, ids=ids, counts=counts, n=self.values.size)
+        return _first_appearance_table(np.bincount(self.values), self.values.size)
 
 
 def derive_seeds(master_seed: int, count: int) -> tuple[int, ...]:

@@ -1,7 +1,6 @@
 """Tests for the marginal and simultaneous predictive classifiers."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from pdinfer import (
 )
 from pdinfer.core import _log_factor
 
+from conftest import traced_peak
 from oracles import greedy_joint_labeling, joint_log_score
 
 SQRT2 = math.sqrt(2.0)
@@ -349,12 +349,8 @@ class TestClassifySimultaneous:
         k, n_values = 300, 200
         model = train_from_counts([SpeciesCounts([c, c + 1, c + 2], [3, 2, 1]) for c in range(k)])
         values = np.arange(n_values)
-        tracemalloc.start()
-        try:
-            result = classify_simultaneous(model, values)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: classify_simultaneous(model, values))
+        result = classify_simultaneous(model, values)
         assert result.sweeps == 1 and result.converged
         assert peak < 32 * n_values * k * 8
 

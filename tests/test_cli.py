@@ -82,6 +82,13 @@ class TestSample:
         assert code == EXIT_USAGE
         assert "usage error" in stderr
 
+    def test_number_grammar(self, tmp_path, capsys):
+        # ASCII digits with a fraction or an exponent; each comma part is stripped
+        out = tmp_path / "x.tsv"
+        code, _, _ = run(capsys, "sample", "--psi", " 2.5, 1e1 ,.5", "--n", "4", "--out", str(out))
+        assert code == EXIT_OK
+        assert "# psi = 2.5,10,0.5\n" in out.read_text()
+
     @pytest.mark.parametrize("psi", ["nan", "1,nan", "inf"])
     def test_non_finite_psi_usage_error(self, tmp_path, capsys, psi):
         code, _, stderr = run(
@@ -283,6 +290,18 @@ class TestClassify:
             ]
             labels[mode] = records[0].split("\t")[1]
         assert labels["marginal"] == labels["simultaneous"]
+
+    def test_path_with_line_break_usage_error(self, files, tmp_path, capsys):
+        # the result file records both paths as metadata, which holds one line each
+        train, test = files
+        broken = tmp_path / "train\n.tsv"
+        broken.write_bytes(train.read_bytes())
+        out = tmp_path / "out.tsv"
+        code, _, stderr = run(capsys, "classify", "--mode", "marginal", "--train", str(broken),
+                              "--test", str(test), "--out", str(out))
+        assert code == EXIT_USAGE
+        assert stderr.startswith("pd-infer: usage error: metadata 'train'")
+        assert not out.exists()
 
     def test_degenerate_class_warning_format(self, tmp_path, capsys):
         train = tmp_path / "train.tsv"
@@ -632,10 +651,23 @@ class TestExitCodes:
              "usage error: argument --training-sizes: expects an integer, got '1_000'"),
             (["sample", "--psi", "1", "--n", "3", "--seed", "+5", "--out", "{out}"], EXIT_USAGE,
              "usage error: argument --seed: expects an integer, got '+5'"),
+            # so do the number flags, with a fraction, an exponent and inf/nan added
+            (["sample", "--psi", "\u0663", "--n", "3", "--out", "{out}"], EXIT_USAGE,
+             "usage error: argument --psi: expects a number, got '\u0663'"),
+            (["sample", "--psi", "1_0", "--n", "3", "--out", "{out}"], EXIT_USAGE,
+             "usage error: argument --psi: expects a number, got '1_0'"),
+            (["experiment", "--memory-cap-gb", "\u0662", "--out", "{out}"], EXIT_USAGE,
+             "usage error: argument --memory-cap-gb: expects a number, got '\u0662'"),
+            (["experiment", "--psis", "1, +20", "--out", "{out}"], EXIT_USAGE,
+             "usage error: argument --psis: expects a number, got '+20'"),
+            (["test", "--mode", "lm", "--psi0", "2,5", "--input", "{aab}"], EXIT_USAGE,
+             "usage error: argument --psi0: expects a number, got '2,5'"),
         ],
         ids=["lm-two-inputs", "one-class-training", "truth-unlabeled-test", "per-class-maybe",
              "manifest-no-equals", "manifest-open-quote", "lm-one-record", "labels-gap-at-7",
-             "n-arabic-indic-digit", "training-sizes-underscore", "seed-leading-plus"],
+             "n-arabic-indic-digit", "training-sizes-underscore", "seed-leading-plus",
+             "psi-arabic-indic-digit", "psi-underscore", "memory-cap-arabic-indic-digit",
+             "psis-leading-plus", "psi0-comma"],
     )
     def test_refusal_exit_code_and_message(self, aab_file, tmp_path, capsys, argv, code, message):
         paths = {name: tmp_path / f"{name}.tsv" for name in

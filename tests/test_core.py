@@ -1,7 +1,6 @@
 """Tests for the partition types, the Ewens pmf, and the predictive rule."""
 
 import math
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -31,6 +30,7 @@ from pdinfer.core import (
 )
 from pdinfer.sampling import UrnConfig, sample_sequence
 
+from conftest import traced_peak
 from oracles import (
     distinct_and_slope_reference,
     esf_prob_exact,
@@ -146,25 +146,20 @@ class TestSpeciesCounts:
         # and their counts are alive, handed on without copies: three int64 per observation
         n = 10**6
         values = np.arange(n)
-        tracemalloc.start()
-        try:
-            counts = SpeciesCounts.from_values(values)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: SpeciesCounts.from_values(values))
+        counts = SpeciesCounts.from_values(values)
         assert counts.n == counts.k_obs == n
         assert peak <= 3.2 * 8 * n
 
     @pytest.mark.parametrize("as_array", [False, True])
     def test_from_values_large_id_small_memory(self, as_array):
         values = [0, 10**10]
-        tracemalloc.start()
-        try:
-            counts = SpeciesCounts.from_values(np.array(values) if as_array else values)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert counts == SpeciesCounts([0, 10**10], [1, 1])
+
+        def count():
+            return SpeciesCounts.from_values(np.array(values) if as_array else values)
+
+        peak = traced_peak(count)
+        assert count() == SpeciesCounts([0, 10**10], [1, 1])
         assert peak < 4 * 2**20
 
     def test_count_of_rejects_id_beyond_int64(self):
@@ -524,13 +519,7 @@ class TestSumPaths:
 
     @pytest.mark.parametrize("n", [10**6, 10**15])
     def test_memory_independent_of_n(self, n):
-        tracemalloc.start()
-        try:
-            _distinct_and_slope(10.0, n)
-            _log_rising_factorial(10.0, n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: (_distinct_and_slope(10.0, n), _log_rising_factorial(10.0, n)))
         assert peak < 64 * 1024
 
 

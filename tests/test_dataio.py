@@ -1,7 +1,6 @@
 """Tests for the dataset and result text formats."""
 
 import re
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,6 +10,8 @@ from hypothesis import strategies as st
 
 from pdinfer import DatasetFormatError, dataio, read_dataset, write_dataset
 from pdinfer.dataio import write_classification
+
+from conftest import traced_peak
 
 ID_MAX = 2**63 - 1
 
@@ -68,13 +69,17 @@ class TestRoundTrip:
         n = 200_000
         path = tmp_path / "data.tsv"
         write_dataset(path, np.arange(n) % 1000, labels=np.arange(n) % 3 if labeled else None)
-        tracemalloc.start()
-        try:
-            read_dataset(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: read_dataset(path))
         assert peak < bound * n
+
+    @pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+    def test_write_memory(self, tmp_path, labeled):
+        # one batch of rows is text at a time; the whole columns as Python ints
+        # and lines once took about 48 bytes a row
+        n = 200_000
+        values, labels = np.arange(n) % 1000, np.arange(n) % 3 if labeled else None
+        peak = traced_peak(lambda: write_dataset(tmp_path / "data.tsv", values, labels=labels))
+        assert peak < 24 * n
 
 
 _IDS = st.lists(st.integers(min_value=0, max_value=ID_MAX), max_size=30)
@@ -138,6 +143,40 @@ class TestWriterAcceptsOnlyWhatTheReaderReads:
         else:
             with pytest.raises(ValueError):
                 write_dataset(path, values, labels=labels)
+            assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "metadata",
+        [{"note": "x\n5"}, {"note": "x\r5"}, {"my key": "x"}, {"a\nb": "x"}, {"": "x"},
+         {"k = v": "x"}],
+        ids=["newline-value", "return-value", "space-key", "newline-key", "empty-key", "equals-key"],
+    )
+    def test_misread_metadata_leaves_no_file(self, tmp_path, metadata):
+        # a value with a line break once gave a file the reader refused ("header
+        # declares n=2 but file contains 3 records"); a key with a space was dropped
+        for write in (lambda path: write_dataset(path, [0, 1], metadata=metadata),
+                      lambda path: write_classification(path, [0], [-1.0], -1.0, 1, True, metadata)):
+            path = tmp_path / "out.tsv"
+            with pytest.raises(ValueError, match="metadata"):
+                write(path)
+            assert not path.exists()
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(metadata=st.dictionaries(
+        st.one_of(st.from_regex(r"[A-Za-z0-9_.-]+", fullmatch=True), st.text(max_size=4)),
+        st.text(st.characters(codec="utf-8"), max_size=12).filter(lambda v: v == v.strip()),
+        max_size=3,
+    ))
+    def test_metadata_round_trip_or_no_file(self, tmp_path, metadata):
+        path = tmp_path / "data.tsv"
+        path.unlink(missing_ok=True)
+        keys_ok = all(re.fullmatch(r"[A-Za-z0-9_.-]+", key) for key in metadata)
+        if keys_ok and not any(re.search("[\n\r]", value) for value in metadata.values()):
+            write_dataset(path, [0, 1], metadata=metadata)
+            assert read_dataset(path).metadata == metadata
+        else:
+            with pytest.raises(ValueError):
+                write_dataset(path, [0, 1], metadata=metadata)
             assert not path.exists()
 
 
@@ -375,10 +414,6 @@ class TestClassificationWriter:
         n = 200_000
         labeling = np.arange(n) % 3
         per_item_log = -np.linspace(0.5, 5.0, n)
-        tracemalloc.start()
-        try:
-            write_classification(tmp_path / "result.tsv", labeling, per_item_log, -1.0, 2, True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        path = tmp_path / "result.tsv"
+        peak = traced_peak(lambda: write_classification(path, labeling, per_item_log, -1.0, 2, True))
         assert peak < 24 * n

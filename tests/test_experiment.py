@@ -5,7 +5,6 @@ import hashlib
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +14,8 @@ import pdinfer
 import pdinfer.classify as classify_module
 from pdinfer import ExperimentRow, ExperimentSpec, __version__, run_convergence_experiment
 from pdinfer.experiment import _METRICS
+
+from conftest import traced_peak
 
 
 def small_spec(tmp_path, **overrides):
@@ -67,12 +68,7 @@ def test_memory_estimate_bounds_traced_peak(tmp_path, psis):
                       replicates=1)
     # a first run pays the one-time imports, which are no working memory of a study
     run_convergence_experiment(dataclasses.replace(spec, output_path=tmp_path / "warm"))
-    tracemalloc.start()
-    try:
-        run_convergence_experiment(spec)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: run_convergence_experiment(spec))
     assert peak <= spec.estimated_memory_bytes()
 
 
@@ -209,6 +205,26 @@ class TestRunConvergenceExperiment:
             "series_err_simultaneous.tsv":
                 "3f7929124fffa103b96ebc8f0f3267d543ce15f869c9bee4647e078ea7c3480f",
             "summary.tsv": "e41d2cac8a730b2270abd98c52aaa93ab99eb84a53f1e0135967bf5a3b64a7c6",
+        }
+        assert {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in spec.output_path.iterdir()
+        } == digests
+
+    def test_three_replicate_files_byte_for_byte(self, tmp_path):
+        # recorded before every table went through one column writer, which was
+        # to keep every byte of the means, the replicate sds and the raw rows
+        spec = small_spec(tmp_path)
+        run_convergence_experiment(spec)
+        digests = {
+            "replicates.tsv": "1b084fb60b7848700624845749696917d019258f284fb80b9c0a8ad6137e7ea2",
+            "series_disagreement.tsv":
+                "a8faf7ee05d2ccb354c6808fc8971a8889a52c9476c990307f9af4ab4464b419",
+            "series_err_marginal.tsv":
+                "877f83d2f9fd29a4207bbb674b6f215317831033cc465a70775927b71685826f",
+            "series_err_simultaneous.tsv":
+                "3f4091e80d189a8044e5c16e1ff47dc17fd660c1749577d42630e6f74de174e5",
+            "summary.tsv": "d8dafbc5aa51aab2d50bf3c03f829988eb9d141109711aae97b36198fb208120",
         }
         assert {
             path.name: hashlib.sha256(path.read_bytes()).hexdigest()

@@ -1,7 +1,6 @@
 """Tests for the score test, the likelihood ratio test, and their plumbing."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from pdinfer import (
 )
 from pdinfer.core import _distinct_and_slope
 
+from conftest import traced_peak
 from oracles import chi_square_sf_reference, lr_statistic_from_partitions
 
 
@@ -136,12 +136,7 @@ class TestChiSquareSf:
             assert chi_square_sf(x, df) == pytest.approx(reference, rel=1e-9, abs=0.0), x
 
     def test_memory_does_not_grow_with_df(self):
-        tracemalloc.start()
-        try:
-            chi_square_sf(1e9, 10**9)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: chi_square_sf(1e9, 10**9))
         assert peak < 10_000
 
 

@@ -1,7 +1,6 @@
 """Tests for the urn-scheme sequence generator."""
 
 import time
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -19,6 +18,7 @@ from pdinfer import (
     sample_sequence,
 )
 
+from conftest import traced_peak
 from oracles import urn_values_reference
 
 
@@ -97,12 +97,7 @@ class TestSampleSequence:
     def test_memory(self):
         # three length-n buffers (positions, draws, ids) plus the new/old flags
         n = 10**5
-        tracemalloc.start()
-        try:
-            sample_sequence(UrnConfig(10.0, n, 1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: sample_sequence(UrnConfig(10.0, n, 1)))
         assert peak < 28 * n
 
     def test_distinct_count_near_expectation(self):
