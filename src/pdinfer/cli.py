@@ -25,7 +25,8 @@ fraction and ``e``/``E`` exponent, or ``inf``/``nan``, such as ``1_0``;
 any ``experiment --workers`` other than 1, a ``--memory-cap-gb`` whose byte
 count is not finite, from about 1.7e299 up, a study whose estimated memory,
 which grows with ``--replicates`` and ``--test-size``, exceeds the cap, and a
-``classify`` path with a line break, which the result's metadata cannot hold),
+``classify`` path with a line break or non-UTF-8 bytes, which the result's
+metadata cannot hold, so no ``--out`` file is written),
 2 data/parse error (including a dataset with no records, a file that is not
 UTF-8 and class ids that are not contiguous), 3 numeric/degeneracy error or
 out of memory (one line on stderr, no traceback).

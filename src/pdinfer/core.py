@@ -25,11 +25,15 @@ ids to exactly 0..k-1 ("must be contiguous 0..k-1, but 7 is missing").
 
 All containers are immutable after construction (the arrays of a
 :class:`SpeciesCounts` are read-only) and all operations are pure functions,
-so everything here is safe to share across threads.
+so everything here is safe to share across threads. The one memo,
+:func:`_distinct_and_slope`'s ``functools.lru_cache`` of at most 4096
+``(psi, n)`` pairs (about 1.25 MB), returns the value the sum would, and is
+thread-safe: replicate fits and score tests at one ``n`` repeat most pairs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Iterable, Iterator
@@ -368,14 +372,20 @@ def _stirling_tails(z: float) -> tuple[float, float, float]:
     )
 
 
+# The memo must hold one job's keys: 200 replicate fits and score tests at one n
+# ask for 66-316 distinct (psi, n) pairs in 1230 calls, the study's default run
+# for up to 285. An entry holds 230-310 B (tracemalloc), so 4096 are about 1.25 MB.
+@functools.lru_cache(maxsize=4096, typed=True)
 def _distinct_and_slope(psi: float, n: int) -> tuple[float, float]:
     """Mean ``E = sum_j s_j`` and variance ``V = sum_j s_j j / (psi + j)`` of ``K_n``.
 
     Sums over ``0 <= j < n`` with ``s_j = psi / (psi + j)``; ``V`` is also
     ``dE / dlog psi`` and ``psi^2`` times the Fisher information. The first
     ``_HEAD`` terms are summed directly (each factor is at most 1, so no
-    finite ``psi > 0`` overflows one), the rest in O(1) by series.
+    finite ``psi > 0`` overflows one), the rest in O(1) by series. Memoized
+    per ``(psi, n)`` and their types; both results are Python floats.
     """
+    psi, n = float(psi), int(n)
     j = _J[:n]
     total = psi + j
     share = psi / total

@@ -27,9 +27,10 @@ and a footer with the total log score, sweep count, and convergence flag.
 The experiment's tables are v1 files too. This module is their only writer,
 and :func:`_write_v1` the only code that makes rows text: it maps one row
 formatter over a batch of every column at a time, so no body is held whole as
-numbers or text. Metadata keys are ``[A-Za-z0-9_.-]+`` and no key or value
-may hold ``\\n`` or ``\\r``, which the reader would drop or split; the writer
-refuses them with ``ValueError`` before it opens the file.
+numbers or text. Metadata keys are ``[A-Za-z0-9_.-]+``, no key or value
+may hold ``\\n`` or ``\\r``, which the reader would drop or split, and all of
+it must encode as UTF-8 (a lone surrogate does not); the writer refuses the
+rest with ``ValueError`` before it opens the file.
 """
 
 from __future__ import annotations
@@ -100,6 +101,10 @@ def _write_v1(path, title, metadata, row, columns, names=(), footer=()) -> None:
         if not _META_KEY_RE.fullmatch(str(key)) or "\n" in line or "\r" in line:
             raise ValueError(f"metadata {key!r} = {value!r}: a key is [A-Za-z0-9_.-]+ "
                              "and no key or value may hold a line break")
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, as a non-UTF-8 path decodes to
+            raise ValueError(f"metadata {key!r} = {value!r}: not UTF-8 text") from None
         head.append(line)
     if names:
         head.append("# columns: " + "\t".join(names))

@@ -12,7 +12,9 @@ species, or all species distinct) have no interior root; they are reported
 as flagged boundary estimates rather than errors so that downstream
 consumers such as the classifiers can keep operating on degenerate training
 classes. The fit reads each sample only through ``(n, k)``; the sum and
-its slope (``Var[K_n]``) come from :func:`pdinfer.core._distinct_and_slope`.
+its slope (``Var[K_n]``) come from :func:`pdinfer.core._distinct_and_slope`,
+memoized per ``(psi, n)``, so replicates with one ``(n, k)`` walk the same
+iterates and reuse each sum.
 """
 
 from __future__ import annotations

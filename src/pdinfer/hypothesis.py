@@ -5,7 +5,9 @@ statistic ``(k - E[K_n])^2 / Var[K_n]`` at ``psi0``, and a likelihood ratio
 test of a common ``psi`` across ``s`` samples, from each sample's ``(n, k)``
 and log rising factorials; chi-square references with 1 and ``s - 1``
 degrees of freedom. Both read a sample (a frequency table or its partition)
-only through ``(n, k)``, and the sums live in :mod:`pdinfer.core`.
+only through ``(n, k)``, and the sums live in :mod:`pdinfer.core`:
+``E[K_n]`` and ``Var[K_n]`` in its memo of :func:`pdinfer.core._distinct_and_slope`
+per ``(psi, n)``, which every score test at one ``psi0`` and ``n`` shares.
 """
 
 from __future__ import annotations

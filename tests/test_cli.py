@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import math
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -301,6 +302,20 @@ class TestClassify:
                               "--test", str(test), "--out", str(out))
         assert code == EXIT_USAGE
         assert stderr.startswith("pd-infer: usage error: metadata 'train'")
+        assert not out.exists()
+
+    def test_path_not_utf8_usage_error(self, files, tmp_path, capsys):
+        # Python reads the byte \xff of a path as a lone surrogate, which UTF-8
+        # cannot encode; the result file was once left behind empty
+        train, test = files
+        broken = tmp_path / os.fsdecode(b"train\xff.tsv")
+        broken.write_bytes(train.read_bytes())
+        out = tmp_path / "out.tsv"
+        code, _, stderr = run(capsys, "classify", "--mode", "marginal", "--train", str(broken),
+                              "--test", str(test), "--out", str(out))
+        assert code == EXIT_USAGE
+        assert stderr.startswith("pd-infer: usage error: metadata 'train'")
+        assert stderr.count("\n") == 1
         assert not out.exists()
 
     def test_degenerate_class_warning_format(self, tmp_path, capsys):

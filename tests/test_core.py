@@ -14,8 +14,11 @@ from pdinfer import (
     NEW,
     Partition,
     SpeciesCounts,
+    derive_seeds,
     esf_log_pmf,
     expected_distinct,
+    fit_psi,
+    lm_test,
     partition_of,
     predictive_prob,
 )
@@ -546,6 +549,82 @@ class TestEwensHead:
         with pytest.raises(ValueError):
             _J[0] = 1.0
         assert _J.tolist() == list(range(_HEAD))
+
+
+@pytest.fixture(scope="module")
+def replicates():
+    """200 urn replicates of n = 2000 at each psi in (1, 10, 100), with the psi drawn."""
+    return [(psi, partition_of(sample_sequence(UrnConfig(psi, 2000, seed)).counts))
+            for psi in (1.0, 10.0, 100.0) for seed in derive_seeds(26, 200)]
+
+
+class TestEwensMemo:
+    """``_distinct_and_slope`` is memoized per (psi, n): the memo changes no value."""
+
+    @pytest.fixture(autouse=True)
+    def cleared(self):
+        _distinct_and_slope.cache_clear()
+        yield
+        _distinct_and_slope.cache_clear()
+
+    def test_matches_reference_cold_and_warm(self):
+        grid = [(psi, n) for n in TestEwensHead.NS for psi in TestEwensHead.PSIS]
+        want = [distinct_and_slope_reference(psi, n) for psi, n in grid]
+        for psi, n in grid:
+            _distinct_and_slope.cache_clear()
+            assert _distinct_and_slope(psi, n) == distinct_and_slope_reference(psi, n)
+        # the first pass fills the memo again, the second reads it alone
+        assert [_distinct_and_slope(psi, n) for psi, n in grid] == want
+        assert [_distinct_and_slope(psi, n) for psi, n in grid] == want
+        assert _distinct_and_slope.cache_info().misses == len(grid)
+
+    @pytest.mark.parametrize("numpy_first", [True, False])
+    @pytest.mark.parametrize("n", [7, 2000])
+    def test_numpy_arguments_give_python_results(self, numpy_first, n):
+        calls = [(np.float64(7.3), np.int64(n)), (7.3, n)]
+        results = [_distinct_and_slope(*call) for call in calls[:: 1 if numpy_first else -1]]
+        assert results[0] == results[1] == distinct_and_slope_reference(7.3, n)
+        assert [type(x) for result in results for x in result] == [float] * 4
+
+    def test_fits_and_tests_equal_cold_and_warm(self, replicates):
+        def cold(call, *args):
+            _distinct_and_slope.cache_clear()
+            return call(*args)
+
+        for psi, rho in replicates:
+            assert cold(fit_psi, rho) == fit_psi(rho) == fit_psi(rho)
+            assert cold(lm_test, rho, psi) == lm_test(rho, psi) == lm_test(rho, psi)
+
+    def test_one_miss_per_distinct_key(self, replicates, monkeypatch):
+        keys = set()
+
+        def spy(psi, n):
+            keys.add((type(psi), psi, type(n), n))
+            return _distinct_and_slope(psi, n)
+
+        monkeypatch.setattr("pdinfer.estimation._distinct_and_slope", spy)
+        monkeypatch.setattr("pdinfer.hypothesis._distinct_and_slope", spy)
+        for psi, rho in replicates[::10]:
+            fit_psi(rho)
+            lm_test(rho, psi)
+        info = _distinct_and_slope.cache_info()
+        assert info.misses == len(keys) > 3
+        assert info.hits > 0
+
+    def test_one_miss_for_tests_at_one_point(self, replicates):
+        samples = [rho for psi, rho in replicates if psi == 10.0]
+        for rho in samples:
+            lm_test(rho, 10.0)
+        info = _distinct_and_slope.cache_info()
+        assert (info.misses, info.hits) == (1, len(samples) - 1)
+
+    def test_bounded_memory(self):
+        maxsize = _distinct_and_slope.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 316  # one bootstrap job's keys
+        peak = traced_peak(lambda: [_distinct_and_slope(float(psi), 2000)
+                                    for psi in range(1, maxsize + 2)])
+        assert _distinct_and_slope.cache_info().currsize == maxsize
+        assert peak < 1.5e6
 
 
 class TestPredictiveProb:

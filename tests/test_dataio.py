@@ -148,12 +148,14 @@ class TestWriterAcceptsOnlyWhatTheReaderReads:
     @pytest.mark.parametrize(
         "metadata",
         [{"note": "x\n5"}, {"note": "x\r5"}, {"my key": "x"}, {"a\nb": "x"}, {"": "x"},
-         {"k = v": "x"}],
-        ids=["newline-value", "return-value", "space-key", "newline-key", "empty-key", "equals-key"],
+         {"k = v": "x"}, {"note": "\udcff"}],
+        ids=["newline-value", "return-value", "space-key", "newline-key", "empty-key", "equals-key",
+             "surrogate-value"],
     )
     def test_misread_metadata_leaves_no_file(self, tmp_path, metadata):
         # a value with a line break once gave a file the reader refused ("header
-        # declares n=2 but file contains 3 records"); a key with a space was dropped
+        # declares n=2 but file contains 3 records"); a key with a space was dropped;
+        # a lone surrogate once raised UnicodeEncodeError and left an empty file
         for write in (lambda path: write_dataset(path, [0, 1], metadata=metadata),
                       lambda path: write_classification(path, [0], [-1.0], -1.0, 1, True, metadata)):
             path = tmp_path / "out.tsv"
