@@ -15,20 +15,20 @@ changes nothing. Both results carry the labeling they started from as
 The joint score factorizes over (class, value) groups: every one of the
 ``q`` co-assigned test items holding the same value sees ``q - 1`` twins. A
 move changes only the two groups of the moved item's value, so items of
-different values never interact. After the marginal start, one numpy pass
-over the (value x class) group counts finds each item's best move, from the
-largest and second-largest join gain of its value's row, which is
-O(values x classes), and marks a value movable only if one of its items
-would gain more than the acceptance margin. A value that is not movable at
-the start stays so, since only moves of its own items change its groups. The
-input-order sweeps then run in Python over the movable values' items alone,
-with a table of group terms built for those values, and reach the same
-labeling, sweep count and convergence flag as sweeps over every item. With
-no movable value, the marginal labeling is already the local optimum and the
-search reports one sweep. The screen rests on this factorization: a joint
-score whose denominator rises with all of a class's test items, as in the
-Ewens joint predictive that ROADMAP.md plans, couples the values of a class,
-and adopting it means revisiting the screen.
+different values never interact. At the marginal start all items of a value
+share one group of its best class, and the best move of any of them joins the
+empty group of the runner-up class, gaining that class's marginal score. So
+the (value x class) score table, its runner-up per row and one leave term per
+value find the values whose items would gain more than the acceptance margin.
+Only these values' items are swept, in input order in Python, and they reach
+the labeling, sweep count and convergence flag of sweeps over every item, as
+other values' groups never change; with none, the search reports one sweep.
+Both classifiers score each distinct test value once per class and gather the
+items' factors from that table, numbering the values by binning when the
+largest is below the item count (the rule of ``SpeciesCounts.from_values``)
+and by sorting otherwise. A joint score whose denominator rises with all of a
+class's test items, as in the Ewens joint predictive that ROADMAP.md plans,
+couples the values of a class and voids the screen.
 
 A training class whose dispersal fit lands on the bracket boundary (one
 distinct value, or all values distinct) is a normal outcome, not an error:
@@ -156,6 +156,14 @@ def _score_inputs(
     return train_counts, m_c, psi
 
 
+def _unique_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)``, binned by the rule of ``from_values``."""
+    if values.size and values.max() < values.size:
+        present = np.bincount(values) > 0
+        return np.flatnonzero(present), (np.cumsum(present) - 1)[values]
+    return np.unique(values, return_inverse=True)
+
+
 def _as_test_values(test_values: Sequence[int] | np.ndarray) -> np.ndarray:
     values = _as_ids(test_values, "test values", ndim=1)
     if values.size == 0:
@@ -172,12 +180,11 @@ def classify_marginal(
     the item's own value, so item order never matters.
     """
     values = _as_test_values(test_values)
-    unique_values, inverse = np.unique(values, return_inverse=True)
+    unique_values, inverse = _unique_ids(values)
     train_counts, m_c, psi = _score_inputs(model, unique_values)
     scores = _log_factor(train_counts, 1, m_c, psi)
-    best = np.argmax(scores, axis=1)  # first max -> lowest class id on ties
-    labeling = best[inverse]
-    per_item_log = scores[inverse, labeling]
+    labeling = np.argmax(scores, axis=1)[inverse]  # first max -> lowest class id on ties
+    per_item_log = scores.max(axis=1)[inverse]
     return ClassificationResult(
         labeling=labeling,
         log_score=float(per_item_log.sum()),
@@ -243,24 +250,19 @@ def _join_gain(train_count, q, m_c, psi) -> np.ndarray:
     )
 
 
-def _movable_values(groups, train_counts, m_c, psi) -> np.ndarray:
-    """Values with an item whose move to another class beats ``_IMPROVE_EPS``.
+def _movable_values(train_counts, sizes, m_c, psi) -> np.ndarray:
+    """Values with an item whose move from the marginal start beats ``_IMPROVE_EPS``.
 
-    ``groups[u, c]`` counts the test items of value ``u`` labeled ``c``. An
-    item's best move goes to the largest join gain of its row, or to the
-    second largest when the largest is its own class; subtracting the leave
-    term preserves that order, so the check is O(values x classes).
+    ``sizes[u]`` counts the test items of value ``u``. At the start they all
+    sit in one group of their value's best class, so an item's best move
+    joins the empty group of the runner-up class, whose join gain is that
+    class's marginal score: one row maximum per value.
     """
-    join = _join_gain(train_counts, groups, m_c, psi)
-    leave = _join_gain(train_counts, np.maximum(groups - 1, 0), m_c, psi)
-    rows = np.arange(groups.shape[0])
-    first = np.argmax(join, axis=1)
-    best = join[rows, first]
-    join[rows, first] = -np.inf
-    runner_up = join.max(axis=1)
-    own_is_best = np.arange(groups.shape[1]) == first[:, None]
-    target = np.where(own_is_best, runner_up[:, None], best[:, None])
-    return ((target - leave > _IMPROVE_EPS) & (groups > 0)).any(axis=1)
+    scores = _log_factor(train_counts, 1, m_c, psi)
+    rows, best = np.arange(scores.shape[0]), np.argmax(scores, axis=1)
+    stay = _join_gain(train_counts[rows, best], sizes - 1, m_c[best], psi[best])
+    scores[rows, best] = -np.inf
+    return scores.max(axis=1) - stay > _IMPROVE_EPS
 
 
 def classify_simultaneous(
@@ -276,24 +278,23 @@ def classify_simultaneous(
     a caller that wants both labelings classifies once.
 
     Only the items of values that :func:`_movable_values` finds movable at
-    the start are swept; the other values' groups never change, so the
-    labeling, ``sweeps`` and ``converged`` are those of a sweep over every
-    item. That holds while the joint score factorizes over (class, value)
-    groups; a per-class denominator would couple the values of a class and
-    void the screen (see the module docstring).
+    the marginal start are swept; the other values' groups never change, so
+    the labeling, ``sweeps`` and ``converged`` are those of a sweep over
+    every item (see the module docstring). Item log factors are gathered
+    from the (value x class) table of factors at the final group sizes.
     """
     values = _as_test_values(test_values)
     # called through the module global, so a wrapper of classify_marginal sees
     # this nested call; the sweeps work on a copy, so ``start`` stays as it was
     start = classify_marginal(model, values).labeling
     labeling = start.copy()
-    unique_values, inverse = np.unique(values, return_inverse=True)
+    unique_values, inverse = _unique_ids(values)
     train_counts, m_c, psi = _score_inputs(model, unique_values)
     k = model.k
     groups = np.bincount(inverse * k + labeling, minlength=unique_values.size * k).reshape(-1, k)
 
     sweeps, converged = 1, True
-    active = _movable_values(groups, train_counts, m_c, psi)
+    active = _movable_values(train_counts, groups.sum(axis=1), m_c, psi)
     if active.any():
         items = np.flatnonzero(active[inverse])
         local_value = np.cumsum(active) - 1
@@ -311,9 +312,8 @@ def classify_simultaneous(
         labeling[items] = labels
         groups[active] = moved_groups
 
-    per_item_log = _log_factor(
-        train_counts[inverse, labeling], groups[inverse, labeling], m_c[labeling], psi[labeling]
-    )
+    # every item's group is non-empty; the clamp keeps empty groups off log 0
+    per_item_log = _log_factor(train_counts, np.maximum(groups, 1), m_c, psi)[inverse, labeling]
     return ClassificationResult(
         labeling=labeling,
         log_score=float(per_item_log.sum()),

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pdinfer.classify as classify_module
@@ -386,3 +386,73 @@ class TestMatchesPlainGreedy:
         monkeypatch.setattr(classify_module, "_MAX_SWEEPS", 1)
         result = _assert_matches_plain_greedy(*moving_case, max_sweeps=1)
         assert result.sweeps == 1 and not result.converged
+
+
+class TestMoveScreen:
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_marks_exactly_the_values_with_an_improving_move(self, data):
+        # brute force: every single move of every item from the marginal start
+        k = data.draw(st.integers(2, 4))
+        value = st.integers(0, 8)
+        tables = [data.draw(st.dictionaries(value, st.integers(1, 6), min_size=1)) for _ in range(k)]
+        model = train_from_counts([SpeciesCounts(sorted(t), [t[v] for v in sorted(t)]) for t in tables])
+        values = data.draw(st.lists(value, min_size=1, max_size=40))
+        oracle = _oracle_model(model)
+        start = classify_marginal(model, values).labeling.tolist()
+        base = joint_log_score(*oracle, values, start)
+        gains = {v: [] for v in values}
+        for i, v in enumerate(values):
+            for c in set(range(k)) - {start[i]}:
+                moved = start[:i] + [c] + start[i + 1:]
+                gains[v].append(joint_log_score(*oracle, values, moved) - base)
+        assume(all(abs(gain - 1e-12) > 1e-9 for row in gains.values() for gain in row))
+        movable = sorted(v for v, row in gains.items() if max(row) > 1e-12)
+
+        unique_values, inverse = np.unique(values, return_inverse=True)
+        train_counts, m_c, psi = classify_module._score_inputs(model, unique_values)
+        screen = classify_module._movable_values(train_counts, np.bincount(inverse), m_c, psi)
+        assert unique_values[screen].tolist() == movable
+
+
+class TestUniqueIds:
+    @pytest.mark.parametrize(
+        "values, binned",
+        [
+            ([3, 0, 3, 1], True),  # largest id = size - 1
+            ([4, 0, 4, 1], False),  # largest id = size
+            ([2**63 - 1, 5, 2**63 - 2, 5], False),
+            ([0], True),
+            ([7], False),
+            ([2, 2, 2], True),
+            ([5, 5, 5], False),
+        ],
+    )
+    def test_matches_np_unique(self, monkeypatch, values, binned):
+        values = np.array(values, dtype=np.int64)
+        want_values, want_inverse = np.unique(values, return_inverse=True)
+        sorted_calls = []
+        unique = np.unique
+
+        def spy(*args, **kwargs):
+            sorted_calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        got_values, got_inverse = classify_module._unique_ids(values)
+        assert (not sorted_calls) == binned
+        assert got_values.dtype == want_values.dtype and got_values.tolist() == want_values.tolist()
+        assert got_inverse.dtype == np.int64 and got_inverse.tolist() == want_inverse.tolist()
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=50),
+        st.sampled_from(["n - 1", "n", "far"]),
+    )
+    def test_both_paths_match_np_unique(self, values, largest):
+        n = len(values)
+        top = {"n - 1": n - 1, "n": n, "far": 2**63 - 1}[largest]
+        values = np.array([min(v, top) for v in values[1:]] + [top], dtype=np.int64)
+        want_values, want_inverse = np.unique(values, return_inverse=True)
+        got_values, got_inverse = classify_module._unique_ids(values)
+        assert got_values.dtype == want_values.dtype and got_values.tolist() == want_values.tolist()
+        assert got_inverse.dtype == np.int64 and got_inverse.tolist() == want_inverse.tolist()

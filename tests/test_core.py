@@ -111,10 +111,15 @@ class TestSpeciesCounts:
             | st.integers(min_value=2**63 - 4, max_value=2**63 - 1),
             st.integers(min_value=1, max_value=10**6),
             max_size=12,
+        )
+        # a table of ids exactly 0..k-1, queried just outside that range too
+        | st.lists(st.integers(min_value=1, max_value=10**6), max_size=12).map(
+            lambda counts: dict(enumerate(counts))
         ),
         st.lists(
             st.integers(min_value=-(2**63), max_value=2**63 - 1)
-            | st.integers(min_value=2**63 - 4, max_value=2**63 - 1),
+            | st.integers(min_value=2**63 - 4, max_value=2**63 - 1)
+            | st.integers(min_value=-2, max_value=14),
             max_size=12,
         ),
     )
