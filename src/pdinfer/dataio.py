@@ -10,7 +10,8 @@ data or ``<species-id>`` for unlabeled data::
     0	1
     ...
 
-The reader accepts any whitespace between fields, blank lines, lines starting
+The header's count is ASCII digits, leading zeros allowed at any length. The
+reader accepts any whitespace between fields, blank lines, lines starting
 with ``#`` anywhere (each ``# key = value`` one is metadata) and ids below
 2^63 written in ASCII digits (leading zeros allowed; a sign, ``_`` or a digit
 of another script is refused). A body made only of ASCII digits, spaces, tabs
@@ -58,7 +59,7 @@ FORMAT_VERSION = "pd-infer v1"
 KIND_LABELED = "labeled"
 KIND_UNLABELED = "unlabeled"
 
-_MAGIC_RE = re.compile(r"^# pd-infer v1 (labeled|unlabeled) n=(\d+)\s*$")
+_MAGIC_RE = re.compile(r"^# pd-infer v1 (labeled|unlabeled) n=([0-9]+)\s*$")
 _META_KEY_RE = re.compile(r"[A-Za-z0-9_.-]+")
 _META_RE = re.compile(rf"^#\s*({_META_KEY_RE.pattern})\s*=\s*(.*?)\s*$")
 _LEADING_COMMENTS_RE = re.compile(r"(?:#[^\n]*\n)*")
@@ -240,7 +241,8 @@ def read_dataset(path: str | Path) -> Dataset:
                 )
             text = handle.read()
         kind = match.group(1)
-        declared_n = int(match.group(2))
+        # compared as text, which int() refuses past 4300 digits, leading zeros included
+        declared = match.group(2).lstrip("0") or "0"
         labeled = kind == KIND_LABELED
 
         head = _LEADING_COMMENTS_RE.match(text).end()
@@ -253,9 +255,11 @@ def read_dataset(path: str | Path) -> Dataset:
                 for meta in map(_META_RE.match, text[:head].split("\n"))
                 if meta
             }
-        if len(table) != declared_n:
+        if declared != str(len(table)):
+            if len(declared) > 20:
+                declared = f"{declared[:20]}... ({len(declared)} digits)"
             raise DatasetFormatError(
-                f"header declares n={declared_n} but file contains {len(table)} records"
+                f"header declares n={declared} but file contains {len(table)} records"
             )
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -14,7 +14,8 @@ metrics; every table's columns, the series files and the CLI's table follow
 it. A class whose dispersal fit lands on the bracket boundary (the
 degenerate case, e.g. a training prefix of values all seen once) is part of
 the study: it trains and classifies with the clamped value like any other
-class.
+class. The pools and the test set are drawn by ``sampling._sample_classes``,
+the per-class urn draw of :func:`pdinfer.sampling.sample_labeled_dataset`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import __version__
 from .classify import classify_simultaneous, train_from_counts
 from .core import _as_int, _check_psi, _prefix_tables
 from .dataio import _write_v1
-from .sampling import UrnConfig, _check_seed, derive_seeds, sample_sequence
+from .sampling import _check_seed, _sample_classes, derive_seeds
 
 __all__ = [
     "ExperimentRow",
@@ -128,18 +129,9 @@ def _replicate_metrics(
     training pools' seeds, then the class test sets'.
     """
     k = spec.k
-    pool_per_class = max(spec.training_sizes) // k
     test_per_class = spec.test_size // k
-    pools = [
-        sample_sequence(UrnConfig(psi, pool_per_class, seed)).values
-        for psi, seed in zip(spec.psis, seeds[:k])
-    ]
-    test_values = np.concatenate(
-        [
-            sample_sequence(UrnConfig(psi, test_per_class, seed)).values
-            for psi, seed in zip(spec.psis, seeds[k:])
-        ]
-    )
+    pools = _sample_classes(spec.psis, max(spec.training_sizes) // k, seeds[:k])
+    test_values = np.concatenate(_sample_classes(spec.psis, test_per_class, seeds[k:]))
     truth = np.repeat(np.arange(k), test_per_class)
     per_class = [m // k for m in spec.training_sizes]
 

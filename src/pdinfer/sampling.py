@@ -19,6 +19,10 @@ species id is its rank among the roots, so the ids follow first appearance.
 This is the same process as the sequential loop, just a few orders of
 magnitude faster, and it works in three length-n buffers. A sampled sequence
 is counted only when its ``counts`` is read.
+
+Labeled data is one urn draw per class, made by ``_sample_classes``: both
+:func:`sample_labeled_dataset` and the convergence study's training pools
+and test sets draw through it.
 """
 
 from __future__ import annotations
@@ -154,6 +158,16 @@ def sample_sequence(config: UrnConfig) -> GeneratedSequence:
     return _unchecked(GeneratedSequence, values=values, seed_used=config.seed)
 
 
+def _sample_classes(psis: Sequence[float], size: int, seeds: Sequence[int]) -> list[np.ndarray]:
+    """One urn draw of ``size`` ids per class, in label order.
+
+    Class ``c`` draws with dispersal ``psis[c]`` and seed ``seeds[c]``, through
+    this module's ``sample_sequence``. Class ids are left to the caller: the
+    study's training pools need none.
+    """
+    return [sample_sequence(UrnConfig(psi, size, seed)).values for psi, seed in zip(psis, seeds)]
+
+
 def sample_labeled_dataset(
     psis: Sequence[float], per_class_size: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -170,10 +184,5 @@ def sample_labeled_dataset(
     if k < 1:
         raise ValueError("need at least one class")
     per_class_size = _as_int(per_class_size, "per-class size")
-    class_seeds = derive_seeds(seed, k)
     labels = np.repeat(np.arange(k, dtype=np.int64), per_class_size)
-    values = np.concatenate([
-        sample_sequence(UrnConfig(psi, per_class_size, class_seed)).values
-        for psi, class_seed in zip(psis, class_seeds)
-    ])
-    return labels, values
+    return labels, np.concatenate(_sample_classes(psis, per_class_size, derive_seeds(seed, k)))

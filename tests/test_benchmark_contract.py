@@ -8,9 +8,10 @@ each job's output digest against ``golden_tiny.json`` (seed 1), so that a
 change meant to keep outputs bit-identical is checked to do so.
 
 ``python tests/test_benchmark_contract.py`` runs the same passes and prints
-which jobs' digests moved; with ``--write-golden`` it also records the file
-again, for a change that moves outputs on purpose (name each moved job in
-CHANGES.md). Any other argument is a usage error (exit 2).
+which jobs' digests moved, exiting 1 if any did and 0 otherwise; with
+``--write-golden`` it also records the file again and exits 0, for a change
+that moves outputs on purpose (name each moved job in CHANGES.md). Any other
+argument is a usage error (exit 2).
 """
 
 import argparse
@@ -86,10 +87,14 @@ if __name__ == "__main__":
             name: [digest for _, digest in _traced_tiny_pass(name, Path(work) / name)[0]]
             for name in sorted(workloads.WORKLOADS)
         }
+    any_moved = False
     for name, jobs in digests.items():
         recorded = golden.get(name, [])
         moved = [i for i, digest in enumerate(jobs) if recorded[i : i + 1] != [digest]]
+        any_moved |= bool(moved)
         print(f"{name}: {len(moved)} of {len(jobs)} digests moved {moved}")
     if args.write_golden:
         GOLDEN.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {GOLDEN}")
+    elif any_moved:
+        sys.exit(1)

@@ -624,6 +624,27 @@ class TestExitCodes:
         assert f"{bad}: line 3" in stderr
 
     @pytest.mark.parametrize(
+        "count, message",
+        [
+            ("\u0663", "line 1: expected '# pd-infer v1 labeled|unlabeled n=<N>' header, "
+                        "got '# pd-infer v1 unlabeled n=\u0663'"),
+            ("1" + "0" * 4999,
+             "header declares n=10000000000000000000... (5000 digits) but file contains 2 records"),
+            ("0" * 5000 + "2", None),
+        ],
+        ids=["arabic-indic-digit", "5000-digits", "zero-padded"],
+    )
+    def test_header_count(self, tmp_path, capsys, count, message):
+        path = tmp_path / "h.tsv"
+        path.write_text(f"# pd-infer v1 unlabeled n={count}\n0\n0\n", encoding="utf-8")
+        code, stdout, stderr = run(capsys, "mle", "--input", str(path))
+        if message is None:
+            assert code == EXIT_OK and "n = 2\n" in stdout
+        else:
+            assert code == EXIT_DATA
+            assert stderr == f"pd-infer: data error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["mle", "--input", "{gap}", "--per-class"],

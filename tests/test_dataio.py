@@ -365,6 +365,33 @@ class TestParseErrors:
         with pytest.raises(DatasetFormatError, match=exactly(path, message)):
             read_dataset(path)
 
+    # the count takes ASCII digits only, as ids do, and any number of leading zeros
+    @pytest.mark.parametrize(
+        "count, message",
+        [
+            ("\u0663", "line 1: expected '# pd-infer v1 labeled|unlabeled n=<N>' header, "
+                        "got '# pd-infer v1 unlabeled n=\u0663'"),
+            ("\uff13", "line 1: expected '# pd-infer v1 labeled|unlabeled n=<N>' header, "
+                        "got '# pd-infer v1 unlabeled n=\uff13'"),
+            ("1" + "0" * 4999,
+             "header declares n=10000000000000000000... (5000 digits) but file contains 3 records"),
+            ("0" * 5000 + "4", "header declares n=4 but file contains 3 records"),
+        ],
+        ids=["arabic-indic-digit", "fullwidth-digit", "5000-digits", "zero-padded-mismatch"],
+    )
+    def test_header_count_refused(self, tmp_path, count, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"# pd-infer v1 unlabeled n={count}\n0\n1\n0\n", encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match=exactly(path, message)):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("count", ["0" * 5000 + "3", "003", "3"],
+                             ids=["5000-leading-zeros", "two-leading-zeros", "no-leading-zero"])
+    def test_header_count_with_leading_zeros(self, tmp_path, count):
+        path = tmp_path / "data.tsv"
+        path.write_text(f"# pd-infer v1 unlabeled n={count}\n0\n1\n0\n")
+        assert read_dataset(path).values.tolist() == [0, 1, 0]
+
 
 class TestClassificationWriter:
     def test_format(self, tmp_path):

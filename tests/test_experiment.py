@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -12,10 +14,12 @@ import pytest
 
 import pdinfer
 import pdinfer.classify as classify_module
-from pdinfer import ExperimentRow, ExperimentSpec, __version__, run_convergence_experiment
+from pdinfer import (ExperimentRow, ExperimentSpec, SpeciesCounts, __version__, fit_psi,
+                     run_convergence_experiment)
 from pdinfer.experiment import _METRICS
 
 from conftest import traced_peak
+from oracles import greedy_joint_labeling
 
 
 def small_spec(tmp_path, **overrides):
@@ -260,3 +264,66 @@ class TestRunConvergenceExperiment:
         spec = small_spec(tmp_path)
         run_convergence_experiment(spec)
         assert len(calls) == spec.replicates * len(spec.training_sizes)
+
+
+# every first-appearance sequence of 3 draws, the urn's only outcomes at that length
+_FIRST_APPEARANCE_3 = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
+
+
+def _urn_probability(sequence, psi):
+    """Probability that the urn with dispersal ``psi`` draws exactly ``sequence``."""
+    probability, counts = 1.0, []
+    for i, species in enumerate(sequence):
+        if species == len(counts):
+            probability *= psi / (i + psi)
+            counts.append(1)
+        else:
+            probability *= counts[species] / (i + psi)
+            counts[species] += 1
+    return probability
+
+
+def _exact_study_moments(psis):
+    """The study's metrics averaged over every outcome of its draws: 3 training, 3 test per class.
+
+    Enumerates each class's training pool and test set (5^4 = 625 cases at
+    k = 2), weighted by the urn law. ``fit_psi`` is the one library function
+    used: the labelings come from ``tests/oracles.py``, the marginal one being
+    the greedy search's start. Returns each metric's mean and variance.
+    """
+    k = len(psis)
+    truth = np.repeat(np.arange(k), 3)
+    moments = np.zeros((2, len(_METRICS)))
+    for pools in itertools.product(_FIRST_APPEARANCE_3, repeat=k):
+        weight = math.prod(_urn_probability(pool, psi) for pool, psi in zip(pools, psis))
+        train_counts = [dict(zip(*np.unique(pool, return_counts=True))) for pool in pools]
+        fitted = [fit_psi(SpeciesCounts.from_values(pool)).psi_hat for pool in pools]
+        oracle = (train_counts, [len(pool) for pool in pools], fitted)
+        for tests in itertools.product(_FIRST_APPEARANCE_3, repeat=k):
+            p = weight * math.prod(_urn_probability(t, psi) for t, psi in zip(tests, psis))
+            values = [v for t in tests for v in t]
+            marginal = np.array(greedy_joint_labeling(*oracle, values, max_sweeps=0)[0])
+            simultaneous = np.array(greedy_joint_labeling(*oracle, values)[0])
+            metrics = np.array([(marginal != truth).mean(), (simultaneous != truth).mean(),
+                                (marginal != simultaneous).mean()])
+            moments += p * np.array([metrics, metrics**2])
+    mean, second = moments
+    return mean, second - mean**2
+
+
+def test_study_matches_its_exact_expectation(tmp_path):
+    """The whole study (sampling, seeds, training, classification, metrics) against the model.
+
+    Replicate count, seed and bound were fixed before the first run; a miss is
+    a finding about the study, not a reason to pick another seed.
+    """
+    psis, replicates, bound = (1.0, 5.0), 4000, 4.0
+    mean, variance = _exact_study_moments(psis)
+    assert mean == pytest.approx([0.47109, 0.47595, 0.00507], abs=5e-6)
+    spec = ExperimentSpec(psis=psis, training_sizes=(6,), test_size=6, replicates=replicates,
+                          master_seed=2028, output_path=tmp_path / "out")
+    (row,) = run_convergence_experiment(spec)
+    observed = np.array([getattr(row, name) for name in _METRICS])
+    z = (observed - mean) / np.sqrt(variance / replicates)
+    print("exact", mean, "observed", observed, "z", z)
+    assert np.all(np.abs(z) < bound), z
