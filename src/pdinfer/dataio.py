@@ -26,16 +26,24 @@ Classification results use the same comment conventions: one
 ``<index>\\t<predicted-class>\\t<log-score-contribution>`` line per test item
 and a footer with the total log score, sweep count, and convergence flag.
 The experiment's tables are v1 files too. This module is their only writer,
-and :func:`_write_v1` the only code that makes rows text: it maps one row
-formatter over a batch of every column at a time, so no body is held whole as
-numbers or text. Metadata keys are ``[A-Za-z0-9_.-]+``, no key or value
-may hold ``\\n`` or ``\\r``, which the reader would drop or split, and all of
-it must encode as UTF-8 (a lone surrogate does not); the writer refuses the
-rest with ``ValueError`` before it opens the file.
+and :func:`_write_v1` the only code that makes rows text, a batch of every
+column at a time, so no body is held whole as numbers or text. Columns that
+are all int64 ids (datasets) are made text in numpy by :func:`_id_lines`;
+tables with a float column keep a Python row formatter, whose ``.17g`` and
+``.6f`` text numpy has no exact kernel for. Each file is written to a sibling
+temporary file that replaces the target only once it is whole, so a failed
+write leaves no new file and an old one as it was (a device or a pipe, such
+as ``/dev/stdout``, is written in place). Metadata keys are
+``[A-Za-z0-9_.-]+``, no key or value may hold ``\\n`` or ``\\r``, which the
+reader would drop or split, and all of it must encode as UTF-8 (a lone
+surrogate does not); the writer refuses the rest with ``ValueError`` before
+it opens the file.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -68,7 +76,11 @@ _ID_MAX_DIGITS = str(_ID_LIMIT - 1).encode()
 # int() would also take "+5", "1_000" and other scripts' digits; a "-" is
 # let through so that a negative id, "-0" included, gets its own message
 _INT_RE = re.compile(r"-?[0-9]+")
-_WRITE_BATCH = 1 << 14
+# rows made text at a time: at 4096, two columns' int64 temporaries in the digit
+# kernel are 64 KiB, below glibc's 128 KiB mmap threshold; at 16384 each call
+# faulted in fresh pages for them
+_WRITE_BATCH = 1 << 12
+_TENS = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 class DatasetFormatError(ValueError):
@@ -89,12 +101,41 @@ class Dataset:
         return int(self.values.size)
 
 
+def _id_lines(*columns: np.ndarray) -> bytes:
+    """Equal-length int64 id columns as text: fields joined by tabs, each row ended by a newline.
+
+    The bytes of ``str`` of each id, made in numpy: each id's digit count by
+    one ``searchsorted``, each field's place in the text by one ``cumsum``,
+    then one pass per digit place over the ids that have one.
+    """
+    ids = np.stack(columns, axis=1).ravel()
+    places = np.searchsorted(_TENS, ids, side="right").astype(np.uint8)  # digits - 1
+    ends = np.cumsum(places + 2, dtype=np.int64)  # one past each field's separator
+    text = np.empty(ends[-1], np.uint8)
+    # the ids longest first, so that those with a digit at each place are a prefix
+    order = np.argsort(places, kind="stable")[::-1]
+    counts = np.cumsum(np.bincount(places)[::-1])[::-1]  # ids with a digit at each place
+    at, rest = ends[order] - 2, ids[order]
+    for place, count in enumerate(counts):
+        at, rest = at[:count], rest[:count]
+        tens = rest // 10
+        text[at - place] = rest - tens * 10
+        rest = tens
+    text += ord("0")
+    separators = ends.reshape(-1, len(columns)) - 1
+    text[separators[:, :-1]] = ord("\t")
+    text[separators[:, -1]] = ord("\n")
+    return text.tobytes()
+
+
 def _write_v1(path, title, metadata, row, columns, names=(), footer=()) -> None:
     """Write a v1 file: magic line, metadata, ``# columns:`` line if ``names``, body, ``footer``.
 
-    The body has one ``row(*fields)`` line per index of the equal-length
-    ``columns`` (arrays or ranges), a batch of each at a time; ``metadata`` is
-    a mapping or None (see the module docstring).
+    The body has one line per index of the equal-length ``columns`` (arrays or
+    ranges), a batch of each at a time: ``row(*fields)``, or for int64 id
+    columns with ``row`` None, :func:`_id_lines`. ``metadata`` is a mapping or
+    None (see the module docstring). The file replaces ``path`` only once it
+    is whole (see :func:`_replacing`).
     """
     head = [f"# {FORMAT_VERSION} {title}"]
     for key, value in (metadata or {}).items():
@@ -109,13 +150,42 @@ def _write_v1(path, title, metadata, row, columns, names=(), footer=()) -> None:
         head.append(line)
     if names:
         head.append("# columns: " + "\t".join(names))
-    with Path(path).open("w", encoding="utf-8") as handle:
-        handle.write("\n".join(head) + "\n")
+    with _replacing(Path(path)) as handle:
+        handle.write(("\n".join(head) + "\n").encode())
         for i in range(0, len(columns[0]), _WRITE_BATCH):
-            batch = (c[i : i + _WRITE_BATCH] for c in columns)
-            fields = (b.tolist() if isinstance(b, np.ndarray) else b for b in batch)
-            handle.write("\n".join(map(row, *fields)) + "\n")
-        handle.write("".join(line + "\n" for line in footer))
+            batch = [c[i : i + _WRITE_BATCH] for c in columns]
+            if row is None:
+                handle.write(_id_lines(*batch))
+            else:
+                fields = (b.tolist() if isinstance(b, np.ndarray) else b for b in batch)
+                handle.write(("\n".join(map(row, *fields)) + "\n").encode())
+        handle.write("".join(line + "\n" for line in footer).encode())
+
+
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """A binary file that replaces ``path`` once written whole: a temporary beside it until then.
+
+    On any exception the temporary is removed, and an ``OSError`` names
+    ``path``. A link is written through, as ``open`` would; a path to anything
+    but a regular file, such as ``/dev/stdout`` or a pipe, is written in place.
+    """
+    if path.exists() and not path.is_file():
+        with open(path, "wb") as handle:
+            yield handle
+        return
+    target = Path(os.path.realpath(path)) if path.is_symlink() else path
+    temp = target.parent / f".pd-infer.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(temp, "xb") as handle:
+            yield handle
+        os.replace(temp, target)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        if isinstance(exc, OSError) and exc.filename is not None:  # the temporary's name
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise
 
 
 def write_dataset(
@@ -131,13 +201,13 @@ def write_dataset(
     """
     values = _as_ids(values, ndim=1)
     if labels is None:
-        kind, row, columns = KIND_UNLABELED, str, (values,)
+        kind, columns = KIND_UNLABELED, (values,)
     else:
         labels = _as_ids(labels, "class ids", ndim=1)
         if labels.shape != values.shape:
             raise ValueError("labels and values must have the same length")
-        kind, row, columns = KIND_LABELED, "{}\t{}".format, (labels, values)
-    _write_v1(path, f"{kind} n={values.size}", metadata, row, columns)
+        kind, columns = KIND_LABELED, (labels, values)
+    _write_v1(path, f"{kind} n={values.size}", metadata, row=None, columns=columns)
 
 
 def _parse_record(line: str, line_number: int, labeled: bool) -> list[int]:
@@ -235,9 +305,13 @@ def read_dataset(path: str | Path) -> Dataset:
             first = handle.readline()
             match = _MAGIC_RE.match(first)
             if not match:
+                # the line is read whole, as a count may carry any number of
+                # leading zeros, but a long one is echoed by its head and length
+                shown = first.strip()
+                more = f"... ({len(shown)} characters)" if len(shown) > 40 else ""
                 raise DatasetFormatError(
                     f"line 1: expected '# {FORMAT_VERSION} labeled|unlabeled n=<N>' "
-                    f"header, got {first.strip()!r}"
+                    f"header, got {shown[:40]!r}{more}"
                 )
             text = handle.read()
         kind = match.group(1)

@@ -193,6 +193,12 @@ def greedy_joint_labeling(train_counts, class_sizes, psis, values, max_sweeps=10
     return labels, sweeps, converged, per_item_log
 
 
+def dataset_body_reference(values, labels=None) -> bytes:
+    """A dataset body made by one Python format call per row: the reference for the digit kernel."""
+    rows = map(str, values) if labels is None else map("{}\t{}".format, labels, values)
+    return "".join(row + "\n" for row in rows).encode()
+
+
 def chi_square_sf_reference(x: float, df: int) -> float:
     """Chi-square tail ``P(X > x)``: mpmath's regularized upper gamma ``Q(df/2, x/2)`` at 40 digits.
 

@@ -105,6 +105,8 @@ class TestSample:
         )
         assert code == EXIT_DATA
         assert "error" in stderr
+        # the path given, not the temporary the file is first written to
+        assert stderr.endswith(f": {str(tmp_path / 'missing' / 'x.tsv')!r}\n")
 
 
 class TestMle:
@@ -643,6 +645,15 @@ class TestExitCodes:
         else:
             assert code == EXIT_DATA
             assert stderr == f"pd-infer: data error: {path}: {message}\n"
+
+    def test_long_junk_first_line_is_one_short_message(self, tmp_path, capsys, monkeypatch):
+        # a 1 MB first line was echoed whole, a 1,000,130-byte stderr line
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "junk.tsv").write_text("x" * 10**6 + "\n0\n")
+        code, stdout, stderr = run(capsys, "mle", "--input", "junk.tsv")
+        assert code == EXIT_DATA and not stdout
+        assert stderr.startswith("pd-infer: data error: junk.tsv: line 1: ")
+        assert stderr.count("\n") == 1 and len(stderr.encode()) < 200
 
     @pytest.mark.parametrize(
         "argv",

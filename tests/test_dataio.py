@@ -1,5 +1,6 @@
 """Tests for the dataset and result text formats."""
 
+import os
 import re
 from unittest import mock
 
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from pdinfer import DatasetFormatError, dataio, read_dataset, write_dataset
 from pdinfer.dataio import write_classification
 
-from conftest import traced_peak
+from conftest import fill_disk_after, traced_peak
+from oracles import dataset_body_reference
 
 ID_MAX = 2**63 - 1
 
@@ -72,14 +74,121 @@ class TestRoundTrip:
         peak = traced_peak(lambda: read_dataset(path))
         assert peak < bound * n
 
-    @pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
-    def test_write_memory(self, tmp_path, labeled):
+    @pytest.mark.parametrize(
+        ("labeled", "long_ids"),
+        [(False, False), (True, False), (False, True), (True, True)],
+        ids=["unlabeled", "labeled", "unlabeled-19-digits", "labeled-19-digits"],
+    )
+    def test_write_memory(self, tmp_path, labeled, long_ids):
         # one batch of rows is text at a time; the whole columns as Python ints
-        # and lines once took about 48 bytes a row
+        # and lines once took about 48 bytes a row. Ids of 19 digits take the
+        # most text and the most passes of the digit kernel
         n = 200_000
-        values, labels = np.arange(n) % 1000, np.arange(n) % 3 if labeled else None
+        values = ID_MAX - np.arange(n) if long_ids else np.arange(n) % 1000
+        labels = (values if long_ids else np.arange(n) % 3) if labeled else None
         peak = traced_peak(lambda: write_dataset(tmp_path / "data.tsv", values, labels=labels))
         assert peak < 24 * n
+
+
+# each end of every digit count: 0, 9, 10, 99, 100, ..., 10^18, 2^63 - 1
+_DIGIT_EDGES = sorted({0, ID_MAX} | {10**k + d for k in range(1, 19) for d in (-1, 0)})
+_EDGE_IDS = st.one_of(st.integers(0, ID_MAX), st.sampled_from(_DIGIT_EDGES))
+
+
+class TestIdKernel:
+    """Dataset bodies are made text in numpy, with the bytes of one format call per row."""
+
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(batch=st.integers(1, 5), labeled=st.booleans(), data=st.data())
+    def test_file_matches_row_formatter(self, tmp_path, batch, labeled, data):
+        # sizes on both sides of one, two and three batches
+        n = data.draw(st.integers(0, 3 * batch + 1), label="n")
+        column = st.lists(_EDGE_IDS, min_size=n, max_size=n)
+        values = data.draw(column, label="values")
+        labels = data.draw(column, label="labels") if labeled else None
+        path = tmp_path / "data.tsv"
+        with mock.patch.object(dataio, "_WRITE_BATCH", batch):
+            write_dataset(path, np.array(values, dtype=np.int64),
+                          labels=None if labels is None else np.array(labels, dtype=np.int64))
+        kind = "labeled" if labeled else "unlabeled"
+        head = f"# pd-infer v1 {kind} n={n}\n".encode()
+        assert path.read_bytes() == head + dataset_body_reference(values, labels)
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_every_digit_edge_in_every_field(self, columns):
+        edges = np.array(_DIGIT_EDGES, dtype=np.int64)
+        table = [np.roll(edges, shift) for shift in range(columns)]
+        expected = "".join("\t".join(map(str, row)) + "\n" for row in zip(*table)).encode()
+        assert dataio._id_lines(*table) == expected
+
+    def test_batches_at_full_size(self, tmp_path):
+        # one id of each digit count and more, over a batch and a part
+        rng = np.random.default_rng(29)
+        n = dataio._WRITE_BATCH + 123
+        values = rng.integers(0, ID_MAX, n, endpoint=True) >> rng.integers(0, 63, n)
+        labels = rng.integers(0, 3, n)
+        path = tmp_path / "data.tsv"
+        write_dataset(path, values, labels=labels)
+        body = path.read_bytes().partition(b"\n")[2]
+        assert body == dataset_body_reference(values.tolist(), labels.tolist())
+
+
+class TestWholeOrNothing:
+    """A write that fails leaves no new file, an old one as it was and no temporary."""
+
+    WRITERS = {
+        "unlabeled": lambda path: write_dataset(path, np.arange(7)),
+        "labeled": lambda path: write_dataset(path, np.arange(7), labels=np.arange(7) % 2),
+        "classification": lambda path: write_classification(
+            path, np.arange(7) % 2, -np.linspace(1.0, 2.0, 7), -10.5, 2, True),
+    }
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_failure_after_the_first_batch(self, tmp_path, monkeypatch, writer, existing):
+        path = tmp_path / "out.tsv"
+        if existing:
+            path.write_bytes(b"old bytes\n")
+        monkeypatch.setattr(dataio, "_WRITE_BATCH", 2)
+        fill_disk_after(monkeypatch, dataio, writes=2)  # the head and the first batch
+        with pytest.raises(OSError, match="No space left on device"):
+            self.WRITERS[writer](path)
+        assert list(tmp_path.iterdir()) == ([path] if existing else [])
+        if existing:
+            assert path.read_bytes() == b"old bytes\n"
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_success_replaces_the_old_file(self, tmp_path, writer):
+        path = tmp_path / "out.tsv"
+        self.WRITERS[writer](path)
+        written = path.read_bytes()
+        path.write_bytes(b"old bytes\n")
+        self.WRITERS[writer](path)
+        assert path.read_bytes() == written
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_error_names_the_callers_path(self, tmp_path):
+        # the temporary cannot be made in a missing directory; the error names the target
+        path = tmp_path / "missing" / "out.tsv"
+        with pytest.raises(FileNotFoundError) as caught:
+            write_dataset(path, [0, 1])
+        assert str(caught.value) == f"[Errno 2] No such file or directory: {str(path)!r}"
+        assert not list(tmp_path.iterdir())
+
+    def test_link_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.tsv", tmp_path / "link.tsv"
+        target.write_bytes(b"old bytes\n")
+        link.symlink_to(target)
+        write_dataset(link, [0, 1])
+        assert link.is_symlink() and target.read_bytes() == b"# pd-infer v1 unlabeled n=2\n0\n1\n"
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_device_is_written_in_place(self, tmp_path):
+        # such as --out /dev/stdout: the device is written, never replaced
+        link = tmp_path / "null"
+        link.symlink_to(os.devnull)
+        write_dataset(link, [0, 1])
+        assert os.readlink(link) == os.devnull and list(tmp_path.iterdir()) == [link]
 
 
 _IDS = st.lists(st.integers(min_value=0, max_value=ID_MAX), max_size=30)
@@ -382,6 +491,24 @@ class TestParseErrors:
     def test_header_count_refused(self, tmp_path, count, message):
         path = tmp_path / "bad.tsv"
         path.write_text(f"# pd-infer v1 unlabeled n={count}\n0\n1\n0\n", encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match=exactly(path, message)):
+            read_dataset(path)
+
+    # the whole line is read, but a line past 40 characters is echoed by its head and length
+    @pytest.mark.parametrize(
+        "line, shown",
+        [
+            ("x" * 40, repr("x" * 40)),
+            ("x" * 41, f"{'x' * 40!r}... (41 characters)"),
+            ("# pd-infer v2 unlabeled n=" + "3" * 10**6,
+             "'# pd-infer v2 unlabeled n=33333333333333'... (1000026 characters)"),
+        ],
+        ids=["40-characters", "41-characters", "million-characters"],
+    )
+    def test_long_first_line_echoed_by_its_head(self, tmp_path, line, shown):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"{line}\n0\n")
+        message = f"line 1: expected '# pd-infer v1 labeled|unlabeled n=<N>' header, got {shown}"
         with pytest.raises(DatasetFormatError, match=exactly(path, message)):
             read_dataset(path)
 

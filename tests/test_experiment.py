@@ -18,7 +18,7 @@ from pdinfer import (ExperimentRow, ExperimentSpec, SpeciesCounts, __version__, 
                      run_convergence_experiment)
 from pdinfer.experiment import _METRICS
 
-from conftest import traced_peak
+from conftest import fill_disk_after, traced_peak
 from oracles import greedy_joint_labeling
 
 
@@ -234,6 +234,18 @@ class TestRunConvergenceExperiment:
             path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in spec.output_path.iterdir()
         } == digests
+
+    def test_failed_write_keeps_the_last_outputs(self, tmp_path, monkeypatch):
+        # each table is written whole or not at all: a disk that fills after
+        # the first row stops the study at its first table and leaves no temporary
+        spec = small_spec(tmp_path)
+        run_convergence_experiment(spec)
+        before = {path.name: path.read_bytes() for path in spec.output_path.iterdir()}
+        monkeypatch.setattr(pdinfer.dataio, "_WRITE_BATCH", 1)
+        fill_disk_after(monkeypatch, pdinfer.dataio, writes=2)
+        with pytest.raises(OSError, match="No space left on device"):
+            run_convergence_experiment(dataclasses.replace(spec, master_seed=78))
+        assert {path.name: path.read_bytes() for path in spec.output_path.iterdir()} == before
 
     def test_summary_reproducible_from_raw_rows(self, tmp_path):
         spec = small_spec(tmp_path)
