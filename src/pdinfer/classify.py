@@ -23,12 +23,15 @@ value find the values whose items would gain more than the acceptance margin.
 Only these values' items are swept, in input order in Python, and they reach
 the labeling, sweep count and convergence flag of sweeps over every item, as
 other values' groups never change; with none, the search reports one sweep.
-Both classifiers score each distinct test value once per class and gather the
-items' factors from that table, numbering the values by binning when the
-largest is below the item count (the rule of ``SpeciesCounts.from_values``)
-and by sorting otherwise. A joint score whose denominator rises with all of a
-class's test items, as in the Ewens joint predictive that ROADMAP.md plans,
-couples the values of a class and voids the screen.
+Both classifiers read one table, :func:`_scored`'s marginal score of each
+distinct test value per class (values numbered by binning when the largest is
+below the item count, the rule of ``SpeciesCounts.from_values``, else by
+sorting). The simultaneous start still comes from a nested
+:func:`classify_marginal` call, which scores the test set again, because
+perfbench's tracer reads the marginal labeling from that call. A joint score
+whose denominator rises with all of a class's test items, as in the Ewens
+joint predictive that ROADMAP.md plans, couples the values of a class and
+voids the screen.
 
 A training class whose dispersal fit lands on the bracket boundary (one
 distinct value, or all values distinct) is a normal outcome, not an error:
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpeciesCounts, _as_ids, _contiguous, _log_factor, partition_of
+from .core import SpeciesCounts, _as_ids, _as_labeled, _contiguous, _log_factor, partition_of
 from .estimation import PsiEstimate, fit_psi
 
 __all__ = [
@@ -113,10 +116,7 @@ class ClassificationResult:
 
 def counts_by_class(labels: np.ndarray, values: np.ndarray) -> list[SpeciesCounts]:
     """Split a labeled dataset into per-class frequency tables."""
-    labels = _as_ids(labels, "class ids", ndim=1)
-    values = _as_ids(values, ndim=1)
-    if labels.shape != values.shape:
-        raise ValueError("labels and values must be 1-d arrays of equal length")
+    labels, values = _as_labeled(labels, values)
     if labels.size == 0:
         raise ValueError("empty training data")
     classes = _contiguous(SpeciesCounts.from_values(labels), "class ids")
@@ -146,16 +146,6 @@ def train(labels: np.ndarray, values: np.ndarray) -> TrainingModel:
     return train_from_counts(counts_by_class(labels, values))
 
 
-def _score_inputs(
-    model: TrainingModel, unique_values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Training counts (values x classes), class sizes and dispersals."""
-    train_counts = np.stack([cm.value_counts.count_of(unique_values) for cm in model.classes], 1)
-    m_c = np.array([cm.m_c for cm in model.classes], dtype=np.float64)
-    psi = np.array([cm.psi_hat.psi_hat for cm in model.classes])
-    return train_counts, m_c, psi
-
-
 def _unique_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(values, return_inverse=True)``, binned by the rule of ``from_values``."""
     if values.size and values.max() < values.size:
@@ -164,11 +154,21 @@ def _unique_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(values, return_inverse=True)
 
 
-def _as_test_values(test_values: Sequence[int] | np.ndarray) -> np.ndarray:
+def _scored(model: TrainingModel, test_values: Sequence[int] | np.ndarray) -> tuple:
+    """The test set scored once: each distinct value's marginal score in each class.
+
+    Returns the gated values, ``inverse`` (each item's row), the training
+    counts (value x class), the class sizes ``m_c``, the dispersals ``psi``
+    and the (value x class) table of marginal log scores.
+    """
     values = _as_ids(test_values, "test values", ndim=1)
     if values.size == 0:
         raise ValueError("test values must be non-empty")
-    return values
+    unique_values, inverse = _unique_ids(values)
+    train_counts = np.stack([cm.value_counts.count_of(unique_values) for cm in model.classes], 1)
+    m_c = np.array([cm.m_c for cm in model.classes], dtype=np.float64)
+    psi = np.array([cm.psi_hat.psi_hat for cm in model.classes])
+    return values, inverse, train_counts, m_c, psi, _log_factor(train_counts, 1, m_c, psi)
 
 
 def classify_marginal(
@@ -179,10 +179,7 @@ def classify_marginal(
     Ties break toward the lowest class id. Each assignment depends only on
     the item's own value, so item order never matters.
     """
-    values = _as_test_values(test_values)
-    unique_values, inverse = _unique_ids(values)
-    train_counts, m_c, psi = _score_inputs(model, unique_values)
-    scores = _log_factor(train_counts, 1, m_c, psi)
+    _, inverse, *_, scores = _scored(model, test_values)
     labeling = np.argmax(scores, axis=1)[inverse]  # first max -> lowest class id on ties
     per_item_log = scores.max(axis=1)[inverse]
     return ClassificationResult(
@@ -250,19 +247,18 @@ def _join_gain(train_count, q, m_c, psi) -> np.ndarray:
     )
 
 
-def _movable_values(train_counts, sizes, m_c, psi) -> np.ndarray:
+def _movable_values(scores, train_counts, sizes, m_c, psi) -> np.ndarray:
     """Values with an item whose move from the marginal start beats ``_IMPROVE_EPS``.
 
-    ``sizes[u]`` counts the test items of value ``u``. At the start they all
-    sit in one group of their value's best class, so an item's best move
-    joins the empty group of the runner-up class, whose join gain is that
-    class's marginal score: one row maximum per value.
+    ``scores`` is the (value x class) table of marginal scores, left as it
+    is, and ``sizes[u]`` counts the test items of value ``u``. At the start
+    they all sit in one group of their value's best class, so an item's best
+    move joins the empty group of the runner-up class, whose join gain is
+    that class's marginal score: each row's second-largest entry.
     """
-    scores = _log_factor(train_counts, 1, m_c, psi)
     rows, best = np.arange(scores.shape[0]), np.argmax(scores, axis=1)
     stay = _join_gain(train_counts[rows, best], sizes - 1, m_c[best], psi[best])
-    scores[rows, best] = -np.inf
-    return scores.max(axis=1) - stay > _IMPROVE_EPS
+    return np.sort(scores, axis=1)[:, -2] - stay > _IMPROVE_EPS
 
 
 def classify_simultaneous(
@@ -280,21 +276,20 @@ def classify_simultaneous(
     Only the items of values that :func:`_movable_values` finds movable at
     the marginal start are swept; the other values' groups never change, so
     the labeling, ``sweeps`` and ``converged`` are those of a sweep over
-    every item (see the module docstring). Item log factors are gathered
-    from the (value x class) table of factors at the final group sizes.
+    every item (see the module docstring). The screen, the join gains and
+    the item log factors at the final group sizes read one :func:`_scored`
+    call; the nested :func:`classify_marginal` call stays for the tracer.
     """
-    values = _as_test_values(test_values)
+    values, inverse, train_counts, m_c, psi, scores = _scored(model, test_values)
     # called through the module global, so a wrapper of classify_marginal sees
     # this nested call; the sweeps work on a copy, so ``start`` stays as it was
     start = classify_marginal(model, values).labeling
     labeling = start.copy()
-    unique_values, inverse = _unique_ids(values)
-    train_counts, m_c, psi = _score_inputs(model, unique_values)
     k = model.k
-    groups = np.bincount(inverse * k + labeling, minlength=unique_values.size * k).reshape(-1, k)
+    groups = np.bincount(inverse * k + labeling, minlength=scores.size).reshape(-1, k)
 
     sweeps, converged = 1, True
-    active = _movable_values(train_counts, groups.sum(axis=1), m_c, psi)
+    active = _movable_values(scores, train_counts, groups.sum(axis=1), m_c, psi)
     if active.any():
         items = np.flatnonzero(active[inverse])
         local_value = np.cumsum(active) - 1

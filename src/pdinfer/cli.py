@@ -26,10 +26,13 @@ any ``experiment --workers`` other than 1, a ``--memory-cap-gb`` whose byte
 count is not finite, from about 1.7e299 up, a study whose estimated memory,
 which grows with ``--replicates`` and ``--test-size``, exceeds the cap, and a
 ``classify`` path with a line break or non-UTF-8 bytes, which the result's
-metadata cannot hold, so no ``--out`` file is written),
-2 data/parse error (including a dataset with no records, a file that is not
-UTF-8 and class ids that are not contiguous), 3 numeric/degeneracy error or
-out of memory (one line on stderr, no traceback).
+metadata cannot hold, so no ``--out`` file is written, and a manifest longer
+than 1 MiB), 2 data/parse error (including a dataset with no records, a file
+that is not UTF-8, a first line of 2^24 characters or more, which is read no
+further, and class ids that are not contiguous), 3 numeric/degeneracy error
+or out of memory (one line on stderr, no traceback). A dataset body after a
+valid header has no bound, as blank and ``#`` lines may stand anywhere: one
+that never ends, such as an endless pipe, is read until memory runs out.
 """
 
 from __future__ import annotations
@@ -138,6 +141,10 @@ def _boolean(text: str) -> bool:
         raise argparse.ArgumentTypeError(f"expects true/false/yes/no/1/0, got {text!r}") from None
 
 
+# bytes read of a manifest, so that an endless file such as /dev/zero is refused
+_MANIFEST_MAX = 1 << 20
+
+
 @functools.cache
 def _manifest_parser() -> _Parser:
     pre = _Parser(add_help=False, allow_abbrev=False)
@@ -157,8 +164,12 @@ def _with_manifest(argv: list[str]) -> list[str]:
     known, rest = _manifest_parser().parse_known_args(argv[command + 1 :])
     tokens: list[str] = []
     if known.manifest is not None:
+        with open(known.manifest, "rb") as handle:
+            text = handle.read(_MANIFEST_MAX + 1)
+        if len(text) > _MANIFEST_MAX:
+            raise UsageError(f"manifest {known.manifest}: longer than {_MANIFEST_MAX} bytes")
         try:
-            lines = Path(known.manifest).read_text(encoding="utf-8").splitlines()
+            lines = text.decode("utf-8").splitlines()
             for line_number, line in enumerate(lines, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):

@@ -18,7 +18,8 @@ code in order of first appearance; no numeric result may depend on their
 values, only on the multiset of frequencies. This module is the package's one
 integer gate: :func:`_as_integers` (tables, looked-up ids, partition entries),
 :func:`_as_ids` (non-negative ids and labels; "must be a 1-d array" under
-``ndim=1``) and :func:`_as_int` (sizes, seeds, sweep counts, degrees of freedom)
+``ndim=1``), :func:`_as_labeled` (a labeled pair of id columns, "of equal
+length") and :func:`_as_int` (sizes, seeds, sweep counts, degrees of freedom)
 are the only conversions of a caller's integers, refusing floats, strings and
 bools rather than truncate, parse or read them as 0/1; :func:`_contiguous` holds
 ids to exactly 0..k-1 ("must be contiguous 0..k-1, but 7 is missing").
@@ -130,6 +131,14 @@ def _as_ids(
     if ids.size and ids.min() < 0:
         raise ValueError(f"{what} must be non-negative")
     return ids
+
+
+def _as_labeled(labels: Iterable[int] | np.ndarray, values: Iterable[int] | np.ndarray):
+    """Class and species ids of a labeled dataset: 1-d :func:`_as_ids` arrays of equal length."""
+    labels, values = _as_ids(labels, "class ids", ndim=1), _as_ids(values, ndim=1)
+    if labels.shape != values.shape:
+        raise ValueError("labels and values must be 1-d arrays of equal length")
+    return labels, values
 
 
 def _contiguous(table: SpeciesCounts, what: str) -> SpeciesCounts:

@@ -51,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _ID_LIMIT, _as_ids, _as_int
+from .core import _ID_LIMIT, _as_ids, _as_int, _as_labeled
 
 __all__ = [
     "Dataset",
@@ -81,6 +81,8 @@ _INT_RE = re.compile(r"-?[0-9]+")
 # faulted in fresh pages for them
 _WRITE_BATCH = 1 << 12
 _TENS = 10 ** np.arange(1, 19, dtype=np.int64)
+# characters read of line 1: far above any header, so a longer line is refused
+_FIRST_LINE_MAX = 1 << 24
 
 
 class DatasetFormatError(ValueError):
@@ -199,13 +201,11 @@ def write_dataset(
     Ids that :func:`read_dataset` would refuse, and metadata it would misread,
     raise ``ValueError`` before the file is opened.
     """
-    values = _as_ids(values, ndim=1)
     if labels is None:
+        values = _as_ids(values, ndim=1)
         kind, columns = KIND_UNLABELED, (values,)
     else:
-        labels = _as_ids(labels, "class ids", ndim=1)
-        if labels.shape != values.shape:
-            raise ValueError("labels and values must have the same length")
+        labels, values = _as_labeled(labels, values)
         kind, columns = KIND_LABELED, (labels, values)
     _write_v1(path, f"{kind} n={values.size}", metadata, row=None, columns=columns)
 
@@ -302,16 +302,23 @@ def read_dataset(path: str | Path) -> Dataset:
     path = Path(path)
     try:
         with path.open("r", encoding="utf-8") as handle:
-            first = handle.readline()
-            match = _MAGIC_RE.match(first)
+            # a count may carry many leading zeros, but a line that reaches the
+            # bound is no header, so an endless one is never held whole
+            first = handle.readline(_FIRST_LINE_MAX)
+            cut = len(first) == _FIRST_LINE_MAX and not first.endswith("\n")
+            match = None if cut else _MAGIC_RE.match(first)
             if not match:
-                # the line is read whole, as a count may carry any number of
-                # leading zeros, but a long one is echoed by its head and length
+                # a long line is echoed by a head of at most 40 characters and
+                # 42 of repr, so that escapes such as NUL's stay short
                 shown = first.strip()
-                more = f"... ({len(shown)} characters)" if len(shown) > 40 else ""
+                head = shown[:40]
+                while len(repr(head)) > 42:
+                    head = head[:-1]
+                length = f"at least {_FIRST_LINE_MAX}" if cut else len(shown)
+                more = f"... ({length} characters)" if head != shown else ""
                 raise DatasetFormatError(
                     f"line 1: expected '# {FORMAT_VERSION} labeled|unlabeled n=<N>' "
-                    f"header, got {shown[:40]!r}{more}"
+                    f"header, got {head!r}{more}"
                 )
             text = handle.read()
         kind = match.group(1)

@@ -409,10 +409,12 @@ class TestMoveScreen:
         assume(all(abs(gain - 1e-12) > 1e-9 for row in gains.values() for gain in row))
         movable = sorted(v for v, row in gains.items() if max(row) > 1e-12)
 
-        unique_values, inverse = np.unique(values, return_inverse=True)
-        train_counts, m_c, psi = classify_module._score_inputs(model, unique_values)
-        screen = classify_module._movable_values(train_counts, np.bincount(inverse), m_c, psi)
-        assert unique_values[screen].tolist() == movable
+        _, inverse, train_counts, m_c, psi, scores = classify_module._scored(model, values)
+        sizes = np.bincount(inverse)
+        screen = classify_module._movable_values(scores, train_counts, sizes, m_c, psi)
+        assert np.unique(values)[screen].tolist() == movable
+        # the screen reads the shared table and leaves it as it was
+        assert np.array_equal(scores, classify_module._scored(model, values)[-1])
 
 
 class TestUniqueIds:

@@ -2,6 +2,9 @@
 
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,6 +12,11 @@ from hypothesis import strategies as st
 
 from pdinfer import cli, read_dataset, sampling
 from pdinfer.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 
 def run(capsys, *argv):
@@ -654,6 +662,33 @@ class TestExitCodes:
         assert code == EXIT_DATA and not stdout
         assert stderr.startswith("pd-infer: data error: junk.tsv: line 1: ")
         assert stderr.count("\n") == 1 and len(stderr.encode()) < 200
+
+    @pytest.mark.skipif(resource is None or not os.path.exists("/dev/zero"),
+                        reason="needs /dev/zero and the resource module")
+    @pytest.mark.parametrize(
+        "argv, code, start",
+        [
+            (["mle", "--input", "/dev/zero"], EXIT_DATA,
+             "pd-infer: data error: /dev/zero: line 1: "),
+            (["mle", "--manifest", "/dev/zero"], EXIT_USAGE,
+             "pd-infer: usage error: manifest /dev/zero: "),
+        ],
+        ids=["first-line", "manifest"],
+    )
+    def test_endless_input_is_refused_in_bounded_memory(self, argv, code, start):
+        # an endless line 1 or manifest was read whole until memory ran out: exit 3
+        # under a cap, a killed process without one
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-m", "pdinfer.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60,
+                              preexec_fn=cap_address_space)
+        assert done.returncode == code and not done.stdout
+        assert done.stderr.startswith(start)
+        assert done.stderr.count("\n") == 1 and len(done.stderr.encode()) < 200
 
     @pytest.mark.parametrize(
         "argv",

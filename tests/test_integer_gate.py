@@ -86,6 +86,7 @@ REFUSED = {
         lambda p: write_dataset(p / "d.tsv", [0, 1], labels=[0.5, 1]), "integers"),
     "write-2d": (lambda p: write_dataset(p / "d.tsv", [[0, 1]]), "1-d"),
     "write-2d-labels": (lambda p: write_dataset(p / "d.tsv", [0, 1], labels=[[0, 1]]), "1-d"),
+    "write-lengths": (lambda p: write_dataset(p / "d.tsv", [0, 1], labels=[0]), "equal length"),
     "write_classification-2d": (
         lambda p: write_classification(p / "r.tsv", [[0, 1]], [[-1.0, -1.0]], -2.0, 1, True),
         "class ids must be a 1-d array"),
