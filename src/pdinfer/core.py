@@ -10,8 +10,7 @@ and the predictive factor :func:`_log_factor`. Each sum adds its first 50 terms
 directly and the rest by asymptotic series, in O(1) time and memory; the 50
 terms' ``j`` is a slice of one shared read-only array, ``_J``, so no call
 builds its own. :func:`_first_appearance_table` is the one build of a table
-of first-appearance ids; :func:`_prefix_tables` grows a urn pool's table
-prefix by prefix with it, counting each item once.
+of first-appearance ids.
 
 Species identifiers are opaque non-negative integers assigned by ingestion
 code in order of first appearance; no numeric result may depend on their
@@ -37,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,24 +263,6 @@ class SpeciesCounts:
 def _first_appearance_table(counts: np.ndarray, n: int) -> SpeciesCounts:
     """The table of ids ``0..k-1`` with these positive ``counts`` of ``n`` first-appearance ids."""
     return _unchecked(SpeciesCounts, ids=np.arange(counts.size), counts=counts, n=n)
-
-
-def _prefix_tables(values: np.ndarray, ends: Iterable[int]) -> Iterator[SpeciesCounts]:
-    """The frequency table of ``values[:end]`` for each ``end``, in turn.
-
-    Preconditions, not checked: ``ends`` ascend (repeats allowed) up to
-    ``values.size``, and ``values`` is an int64 array of first-appearance ids,
-    as the urn draws them, so every id below a prefix's largest id appears in
-    that prefix and the table's ids are ``0..k-1``. Each table is the previous
-    one's counts plus those of the items since its end: every item is counted
-    once, and only the table last yielded is held.
-    """
-    counts, start = np.zeros(0, dtype=np.int64), 0
-    for end in ends:
-        grown = np.bincount(values[start:end], minlength=counts.size)
-        grown[: counts.size] += counts
-        counts, start = grown, end
-        yield _first_appearance_table(counts, end)
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,21 @@
 """Classifier convergence study: error and agreement as training data grows.
 
-Each replicate draws one large training pool per class and one fixed test
+Each replicate grows one training table per class and draws one fixed test
 set from the same dispersal parameters, then classifies the test set with
-both classifiers at every requested training size, reusing nested prefixes
-of the pools (growing the training data extends it rather than redrawing,
-which keeps the convergence curve smooth). Only the drawn values are kept,
-and each prefix table is grown from the previous one. One simultaneous
-classification per training size gives both labelings: the marginal one is
-the ``start`` it returns. Results are averaged over replicates and written,
-in the v1 text format of :mod:`pdinfer.dataio`, as tab-separated tables plus
-one plot-ready series file per metric. One list, ``_METRICS``, names the
-metrics; every table's columns, the series files and the CLI's table follow
-it. A class whose dispersal fit lands on the bracket boundary (the
-degenerate case, e.g. a training prefix of values all seen once) is part of
-the study: it trains and classifies with the clamped value like any other
-class. The pools and the test set are drawn by ``sampling._sample_classes``,
+both classifiers at every requested training size. Each class's table at a
+training size is that of one urn draw's first ``m // k`` items, grown from
+the previous size's table by the exact law of the next items
+(``sampling._grown_tables``): growing the training data extends it rather
+than redrawing, which keeps the convergence curve smooth, and no training id
+is held. One simultaneous classification per training size gives both
+labelings: the marginal one is the ``start`` it returns. Results are averaged
+over replicates and written, in the v1 text format of :mod:`pdinfer.dataio`,
+as tab-separated tables plus one plot-ready series file per metric. One list,
+``_METRICS``, names the metrics; every table's columns, the series files and
+the CLI's table follow it. A class whose dispersal fit lands on the bracket
+boundary (the degenerate case, e.g. a training prefix of values all seen
+once) is part of the study: it trains and classifies with the clamped value
+like any other class. The test set is drawn by ``sampling._sample_classes``,
 the per-class urn draw of :func:`pdinfer.sampling.sample_labeled_dataset`.
 """
 
@@ -27,9 +28,9 @@ import numpy as np
 
 from . import __version__
 from .classify import classify_simultaneous, train_from_counts
-from .core import _as_int, _check_psi, _prefix_tables
+from .core import _as_int, _check_psi
 from .dataio import _write_v1
-from .sampling import _check_seed, _sample_classes, derive_seeds
+from .sampling import _check_seed, _grown_tables, _sample_classes, derive_seeds
 
 __all__ = [
     "ExperimentRow",
@@ -86,12 +87,18 @@ class ExperimentSpec:
 
     def estimated_memory_bytes(self) -> int:
         """Rough upper bound on peak working memory, counting what each replicate keeps."""
-        pool_per_class = max(self.training_sizes) // self.k
+        per_class = [m // self.k for m in self.training_sizes]
         test_per_class = self.test_size // self.k
-        stored = 8 * self.k * (pool_per_class + test_per_class)
-        # generation temporaries: an urn draw peaks at 25 bytes per observation
-        # (three length-n buffers and the new/old flags; tracemalloc at n = 1e5, psi = 10)
-        transient = 48 * max(pool_per_class, test_per_class)
+        stored = 8 * self.k * test_per_class
+        # the largest urn draw: the first training size, a growth step's new species (at most
+        # the step) or a test set; an urn draw peaks at 25 bytes per observation (three
+        # length-n buffers and the new/old flags; tracemalloc at n = 1e5, psi = 10)
+        steps = [b - a for a, b in zip(per_class, per_class[1:])]
+        transient = 48 * max(per_class[0], test_per_class, *steps)
+        # a class's table has at most one entry per training item: ids and counts of the
+        # tables held and of the one being grown, and a step's gammas, probabilities and
+        # increments (tracemalloc, all-distinct values: 31 bytes a training item at k = 2)
+        tables = 64 * self.k * per_class[-1]
         # kept for the whole run, per replicate: its seed block and metrics list (2 KB budget),
         # 2k derived seeds and one row per training size (about 22 and 233 bytes; 64 and
         # 512 bound them). The serial tracemalloc slope is 1.1-2.6 KB per replicate
@@ -99,7 +106,7 @@ class ExperimentSpec:
         # classifying the test set: its labelings, scores, (values x classes) arrays and greedy
         # tables (tracemalloc, all-distinct values: 313 bytes a test item at k = 2, 525 at k = 8)
         classify = self.test_size * (256 + 64 * self.k)
-        return 2 * (stored + transient) + classify + self.replicates * per_replicate
+        return 2 * (stored + transient) + tables + classify + self.replicates * per_replicate
 
 
 @dataclass(frozen=True)
@@ -126,17 +133,17 @@ def _replicate_metrics(
     """The replicate's ``_METRICS`` values per training size.
 
     ``seeds`` is the replicate's block of ``2k`` derived seeds: the class
-    training pools' seeds, then the class test sets'.
+    training draws' seeds, then the class test sets'.
     """
     k = spec.k
     test_per_class = spec.test_size // k
-    pools = _sample_classes(spec.psis, max(spec.training_sizes) // k, seeds[:k])
     test_values = np.concatenate(_sample_classes(spec.psis, test_per_class, seeds[k:]))
     truth = np.repeat(np.arange(k), test_per_class)
     per_class = [m // k for m in spec.training_sizes]
+    grown = (_grown_tables(psi, per_class, seed) for psi, seed in zip(spec.psis, seeds[:k]))
 
     metrics = []
-    for tables in zip(*(_prefix_tables(pool, per_class) for pool in pools)):
+    for tables in zip(*grown):
         model = train_from_counts(tables)
         simultaneous = classify_simultaneous(model, test_values)
         marginal = simultaneous.start
@@ -161,7 +168,8 @@ def _metadata(spec: ExperimentSpec) -> dict[str, object]:
         "master_seed": spec.master_seed,
         "seed_derivation": "derive_seeds(master_seed, replicates*2*k); "
         "replicate r, class c: training pool seed [r*2k + c], test seed [r*2k + k + c]",
-        "per_class_training_size": "m // k; per_class_test_size = test_size // k",
+        "per_class_training_size": "m // k",
+        "per_class_test_size": "test_size // k",
     }
 
 

@@ -21,14 +21,17 @@ magnitude faster, and it works in three length-n buffers. A sampled sequence
 is counted only when its ``counts`` is read.
 
 Labeled data is one urn draw per class, made by ``_sample_classes``: both
-:func:`sample_labeled_dataset` and the convergence study's training pools
-and test sets draw through it.
+:func:`sample_labeled_dataset` and the convergence study's test sets draw
+through it. The study's training data is only ever read as frequency tables,
+so ``_grown_tables`` draws those and no ids: the first table counts one urn
+draw, and each later one grows the last by the exact law of the urn's next
+items, so its memory follows the number of species, not of items.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,12 +161,42 @@ def sample_sequence(config: UrnConfig) -> GeneratedSequence:
     return _unchecked(GeneratedSequence, values=values, seed_used=config.seed)
 
 
+def _grown_tables(psi: float, ends: Iterable[int], seed: int) -> Iterator[SpeciesCounts]:
+    """The frequency table of one urn draw's first ``end`` items, for each ascending ``end``.
+
+    The draw's ids are never held: the table at the first end counts an urn
+    draw of that length, made as :func:`sample_sequence` makes it from
+    ``seed``, and each later table grows the last by the exact law of the
+    urn's next ``step`` items (Blackwell & MacQueen 1973; Pitman 2006, ch. 3).
+    Given counts ``t_1..t_K``, the old species' increments and the total ``x``
+    that goes to new species are Dirichlet-multinomial(step; t_1..t_K, psi),
+    drawn as normalised gammas and a multinomial, and the ``x`` new items are
+    a fresh urn draw of that size with its own first-appearance ids, appended
+    as ids ``K, K + 1, ...``: the order in which the whole draw first meets
+    them. A repeated end yields the same table again. Preconditions, not
+    checked: ``ends`` ascend (repeats allowed) from at least 1.
+    """
+    rng = np.random.default_rng(seed)
+    ends = iter(ends)
+    n = next(ends)
+    counts = np.bincount(_urn_values(psi, n, rng))
+    yield _first_appearance_table(counts, n)
+    for end in ends:
+        if end > n:
+            weights = rng.standard_gamma(np.append(counts, psi))
+            grown = rng.multinomial(end - n, weights / weights.sum())
+            new = np.bincount(_urn_values(psi, int(grown[-1]), rng))
+            grown[:-1] += counts
+            counts, n = np.concatenate((grown[:-1], new)), end
+        yield _first_appearance_table(counts, n)
+
+
 def _sample_classes(psis: Sequence[float], size: int, seeds: Sequence[int]) -> list[np.ndarray]:
     """One urn draw of ``size`` ids per class, in label order.
 
     Class ``c`` draws with dispersal ``psis[c]`` and seed ``seeds[c]``, through
     this module's ``sample_sequence``. Class ids are left to the caller: the
-    study's training pools need none.
+    study's test sets need none.
     """
     return [sample_sequence(UrnConfig(psi, size, seed)).values for psi, seed in zip(psis, seeds)]
 

@@ -31,6 +31,27 @@ def integer_partitions(n):
         yield dict(Counter(p))
 
 
+def first_appearance_sequences(n):
+    """Every sequence of ``n`` first-appearance ids: the urn's outcomes at that length."""
+    sequences = [()]
+    for _ in range(n):
+        sequences = [seq + (v,) for seq in sequences for v in range(max(seq, default=-1) + 2)]
+    return sequences
+
+
+def urn_probability(sequence, psi):
+    """Probability that the urn with dispersal ``psi`` draws exactly ``sequence``."""
+    probability, counts = 1.0, []
+    for i, species in enumerate(sequence):
+        if species == len(counts):
+            probability *= psi / (i + psi)
+            counts.append(1)
+        else:
+            probability *= counts[species] / (i + psi)
+            counts[species] += 1
+    return probability
+
+
 def urn_values_reference(psi: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """The urn sampler in its first vectorized form, kept as the reference for its rewrites.
 

@@ -29,7 +29,6 @@ from pdinfer.core import (
     _POWER_SUM_RATIO,
     _distinct_and_slope,
     _log_rising_factorial,
-    _prefix_tables,
 )
 from pdinfer.sampling import UrnConfig, sample_sequence
 
@@ -214,55 +213,6 @@ class TestSpeciesCounts:
         for dtype in (np.int8, np.uint32, np.uint64):
             counts = SpeciesCounts.from_values(np.array([3, 1, 3], dtype=dtype))
             assert counts == SpeciesCounts([1, 3], [1, 2])
-
-
-def first_appearance(raw: list[int]) -> np.ndarray:
-    """``raw`` relabeled 0, 1, 2, ... in order of first appearance, as the urn numbers species."""
-    ids: dict[int, int] = {}
-    return np.array([ids.setdefault(x, len(ids)) for x in raw], dtype=np.int64)
-
-
-class TestPrefixTables:
-    """Tables grown prefix by prefix against counting each prefix from scratch."""
-
-    @staticmethod
-    def check(values: np.ndarray, ends: list[int]) -> None:
-        # every table is drawn before any is compared, so growing one must leave the others
-        tables = list(_prefix_tables(values, ends))
-        assert len(tables) == len(ends)
-        for end, table in zip(ends, tables):
-            expected = SpeciesCounts.from_values(values[:end])
-            assert table == expected and table.n == expected.n == end
-            assert table.ids.dtype == table.counts.dtype == np.int64
-            assert not (table.ids.flags.writeable or table.counts.flags.writeable)
-
-    @staticmethod
-    def ends(data, size: int) -> list[int]:
-        # ascending, repeats allowed, the last one the whole sequence
-        return sorted(data.draw(st.lists(st.integers(0, size), max_size=6))) + [size]
-
-    @settings(max_examples=100, deadline=None)
-    @given(raw=st.lists(st.integers(0, 6), max_size=40), data=st.data())
-    def test_hand_built_sequences(self, raw, data):
-        values = first_appearance(raw)
-        self.check(values, self.ends(data, values.size))
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        psi=st.floats(0.05, 200.0),
-        n=st.integers(1, 600),
-        seed=st.integers(0, 2**32),
-        data=st.data(),
-    )
-    def test_urn_draws(self, psi, n, seed, data):
-        values = sample_sequence(UrnConfig(psi, n, seed)).values
-        self.check(values, self.ends(data, n))
-
-    def test_repeated_ends(self):
-        # training sizes 3, 4, 5 at k = 3 give every class one item at each size
-        values = sample_sequence(UrnConfig(10.0, 40, 7)).values
-        self.check(values, [3 // 3, 4 // 3, 5 // 3, 40])
-        self.check(values, [0, 0, 40, 40])
 
 
 class TestPartition:

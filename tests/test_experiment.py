@@ -1,6 +1,7 @@
 """Tests for the convergence-study harness."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -19,7 +20,7 @@ from pdinfer import (ExperimentRow, ExperimentSpec, SpeciesCounts, __version__, 
 from pdinfer.experiment import _METRICS
 
 from conftest import fill_disk_after, traced_peak
-from oracles import greedy_joint_labeling
+from oracles import first_appearance_sequences, greedy_joint_labeling, urn_probability
 
 
 def small_spec(tmp_path, **overrides):
@@ -60,16 +61,17 @@ class TestExperimentSpec:
 
 
 @pytest.mark.parametrize(
-    "psis",
-    [(1.0, 1.0), (1.0, 10.0, 50.0), (1e6,) * 8],
-    ids=["k2-psi1", "k3-psi1-10-50", "k8-all-distinct"],
+    "psis, per_class_training, per_class_test",
+    [((1.0, 1.0), (100,), 1000), ((1.0, 10.0, 50.0), (100,), 1000), ((1e6,) * 8, (100,), 1000),
+     ((1e6, 1e6), (1000, 100_000), 2)],
+    ids=["k2-psi1", "k3-psi1-10-50", "k8-all-distinct", "k2-training-all-distinct"],
 )
-def test_memory_estimate_bounds_traced_peak(tmp_path, psis):
-    # one replicate whose test set dominates: 1000 test items and 100 training
-    # items per class; at psi = 1e6 every class's test values are all distinct
+def test_memory_estimate_bounds_traced_peak(tmp_path, psis, per_class_training, per_class_test):
+    # one replicate: in the first three the test set dominates, in the last the training
+    # tables and the growth step's new species do; at psi = 1e6 every value is distinct
     k = len(psis)
-    spec = small_spec(tmp_path, psis=psis, training_sizes=(100 * k,), test_size=1000 * k,
-                      replicates=1)
+    spec = small_spec(tmp_path, psis=psis, training_sizes=tuple(k * m for m in per_class_training),
+                      test_size=k * per_class_test, replicates=1)
     # a first run pays the one-time imports, which are no working memory of a study
     run_convergence_experiment(dataclasses.replace(spec, output_path=tmp_path / "warm"))
     peak = traced_peak(lambda: run_convergence_experiment(spec))
@@ -148,7 +150,8 @@ class TestRunConvergenceExperiment:
             "# master_seed = 77\n"
             "# seed_derivation = derive_seeds(master_seed, replicates*2*k); replicate r, "
             "class c: training pool seed [r*2k + c], test seed [r*2k + k + c]\n"
-            "# per_class_training_size = m // k; per_class_test_size = test_size // k\n"
+            "# per_class_training_size = m // k\n"
+            "# per_class_test_size = test_size // k\n"
         )
         expected = {
             "summary.tsv": "# pd-infer v1 experiment-summary\n" + shared
@@ -195,20 +198,20 @@ class TestRunConvergenceExperiment:
             ).read_bytes()
 
     def test_one_replicate_files_byte_for_byte(self, tmp_path):
-        # sds of one replicate are exactly 0.0; these digests were recorded when
-        # that case was a branch of its own, so the shared std call must keep every byte
+        # sds of one replicate are exactly 0.0, through the same std call as three replicates';
+        # the digests pin every byte, the grown training tables' draws included
         spec = small_spec(tmp_path, replicates=1)
         rows = run_convergence_experiment(spec)
         assert all(row.sd_err_marginal == row.sd_disagreement == 0.0 for row in rows)
         digests = {
-            "replicates.tsv": "5365827f8fad1b51551ee0c8df4a27ffc545fc70569751204579e9e92117ab47",
+            "replicates.tsv": "5c0c1022494d817bb4c878c8e09ea24490de312b41264df4f32ab1f0c499199e",
             "series_disagreement.tsv":
-                "65d18ba955091e0d044426f65b7ae75e33ce86592c78b29bb3d7376864015c77",
+                "0e8525d3b1ae8e80086197ab31b88ca35043be792e9ccb45fd86a30c055c587f",
             "series_err_marginal.tsv":
-                "f4528c0dd2ac426889fc3273f6b81e9896b1aec1e6f29b6ddc0d6a806d8e3ac9",
+                "aa99b323f59e5c16cc91d3a6601e608bf60d00abd36f90f8f285921982e4f312",
             "series_err_simultaneous.tsv":
-                "3f7929124fffa103b96ebc8f0f3267d543ce15f869c9bee4647e078ea7c3480f",
-            "summary.tsv": "e41d2cac8a730b2270abd98c52aaa93ab99eb84a53f1e0135967bf5a3b64a7c6",
+                "4c6312ea4ae6870080b0ce941ac1f909717df2d87622c722b1a45a4489a0e332",
+            "summary.tsv": "8e4742eeb7236f14882ed911e1b645a30198e18021b7525fffe752785d90cd99",
         }
         assert {
             path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -216,19 +219,19 @@ class TestRunConvergenceExperiment:
         } == digests
 
     def test_three_replicate_files_byte_for_byte(self, tmp_path):
-        # recorded before every table went through one column writer, which was
-        # to keep every byte of the means, the replicate sds and the raw rows
+        # every byte of the means, the replicate sds and the raw rows, written by one
+        # column writer from the grown training tables' draws
         spec = small_spec(tmp_path)
         run_convergence_experiment(spec)
         digests = {
-            "replicates.tsv": "1b084fb60b7848700624845749696917d019258f284fb80b9c0a8ad6137e7ea2",
+            "replicates.tsv": "be72bd41f6c8c1813f70901dcdc37967ae2f61a732ad93a233720f4fb3e63bb5",
             "series_disagreement.tsv":
-                "a8faf7ee05d2ccb354c6808fc8971a8889a52c9476c990307f9af4ab4464b419",
+                "62e3804079a07a41f1996a39402394d32bd55976b3a3ab309a3bac08f3a05f3c",
             "series_err_marginal.tsv":
-                "877f83d2f9fd29a4207bbb674b6f215317831033cc465a70775927b71685826f",
+                "4c5547f9da69b52119fd15bc0741f8f4ef7089e5abe62f30ef343be282a09918",
             "series_err_simultaneous.tsv":
-                "3f4091e80d189a8044e5c16e1ff47dc17fd660c1749577d42630e6f74de174e5",
-            "summary.tsv": "d8dafbc5aa51aab2d50bf3c03f829988eb9d141109711aae97b36198fb208120",
+                "b1ce0b6a5ab33a916616fa196dd6572d44a2852ba1b425df1318474779d932a0",
+            "summary.tsv": "edff1571c941c6c137a9fc9a06c0c1704aa43007bb4f196965bd0caf83d23ea8",
         }
         assert {
             path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -278,41 +281,26 @@ class TestRunConvergenceExperiment:
         assert len(calls) == spec.replicates * len(spec.training_sizes)
 
 
-# every first-appearance sequence of 3 draws, the urn's only outcomes at that length
-_FIRST_APPEARANCE_3 = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
+@functools.cache
+def _exact_study_moments(psis, pool_length=3):
+    """The study's metrics averaged over every outcome of its draws, 3 test items per class.
 
-
-def _urn_probability(sequence, psi):
-    """Probability that the urn with dispersal ``psi`` draws exactly ``sequence``."""
-    probability, counts = 1.0, []
-    for i, species in enumerate(sequence):
-        if species == len(counts):
-            probability *= psi / (i + psi)
-            counts.append(1)
-        else:
-            probability *= counts[species] / (i + psi)
-            counts[species] += 1
-    return probability
-
-
-def _exact_study_moments(psis):
-    """The study's metrics averaged over every outcome of its draws: 3 training, 3 test per class.
-
-    Enumerates each class's training pool and test set (5^4 = 625 cases at
-    k = 2), weighted by the urn law. ``fit_psi`` is the one library function
-    used: the labelings come from ``tests/oracles.py``, the marginal one being
-    the greedy search's start. Returns each metric's mean and variance.
+    Each class trains on ``pool_length`` items. Enumerates each class's
+    training pool and test set (5^4 = 625 cases at k = 2 with pools of 3),
+    weighted by the urn law. ``fit_psi`` is the one library function used:
+    the labelings come from ``tests/oracles.py``, the marginal one being the
+    greedy search's start. Returns each metric's mean and variance.
     """
     k = len(psis)
     truth = np.repeat(np.arange(k), 3)
     moments = np.zeros((2, len(_METRICS)))
-    for pools in itertools.product(_FIRST_APPEARANCE_3, repeat=k):
-        weight = math.prod(_urn_probability(pool, psi) for pool, psi in zip(pools, psis))
+    for pools in itertools.product(first_appearance_sequences(pool_length), repeat=k):
+        weight = math.prod(urn_probability(pool, psi) for pool, psi in zip(pools, psis))
         train_counts = [dict(zip(*np.unique(pool, return_counts=True))) for pool in pools]
         fitted = [fit_psi(SpeciesCounts.from_values(pool)).psi_hat for pool in pools]
         oracle = (train_counts, [len(pool) for pool in pools], fitted)
-        for tests in itertools.product(_FIRST_APPEARANCE_3, repeat=k):
-            p = weight * math.prod(_urn_probability(t, psi) for t, psi in zip(tests, psis))
+        for tests in itertools.product(first_appearance_sequences(3), repeat=k):
+            p = weight * math.prod(urn_probability(t, psi) for t, psi in zip(tests, psis))
             values = [v for t in tests for v in t]
             marginal = np.array(greedy_joint_labeling(*oracle, values, max_sweeps=0)[0])
             simultaneous = np.array(greedy_joint_labeling(*oracle, values)[0])
@@ -339,3 +327,25 @@ def test_study_matches_its_exact_expectation(tmp_path):
     z = (observed - mean) / np.sqrt(variance / replicates)
     print("exact", mean, "observed", observed, "z", z)
     assert np.all(np.abs(z) < bound), z
+
+
+def test_study_grown_training_size_matches_its_exact_expectation(tmp_path):
+    """A two-size study against the model: its m = 6 tables grow from the m = 2 ones by one step.
+
+    Each class trains on 1 item, then on 3, so the second row's tables come
+    through one exact urn increment. Replicate count, seed and bound were
+    fixed before the first run; a miss is a finding about the increment.
+    """
+    psis, replicates, bound = (1.0, 5.0), 4000, 4.0
+    spec = ExperimentSpec(psis=psis, training_sizes=(2, 6), test_size=6, replicates=replicates,
+                          master_seed=2031, output_path=tmp_path / "out")
+    rows = run_convergence_experiment(spec)
+    for row, pool_length in zip(rows, (1, 3)):
+        mean, variance = _exact_study_moments(psis, pool_length)
+        observed = np.array([getattr(row, name) for name in _METRICS])
+        # at m = 2 both classes train on one item alike, so every outcome's marginal
+        # error is exactly 1/2: a metric without variance must land on its mean
+        se = np.sqrt(np.maximum(variance, 0.0) / replicates)
+        print("m", row.m, "exact", mean, "observed", observed, "se", se)
+        assert np.all(np.abs(observed - mean) <= bound * se + 1e-12), (observed, mean, se)
+    assert _exact_study_moments(psis, 3)[0] == pytest.approx([0.47109, 0.47595, 0.00507], abs=5e-6)

@@ -17,9 +17,11 @@ from pdinfer import (
     sample_labeled_dataset,
     sample_sequence,
 )
+from pdinfer.sampling import _grown_tables
 
 from conftest import traced_peak
-from oracles import urn_values_reference
+from oracles import (chi_square_sf_reference, first_appearance_sequences, urn_probability,
+                     urn_values_reference)
 
 
 class TestUrnConfig:
@@ -147,6 +149,52 @@ class TestSampleSequence:
         start = time.perf_counter()
         sample_sequence(UrnConfig(100.0, 10**6, 3))
         assert time.perf_counter() - start < 5.0
+
+
+class TestGrownTables:
+    @pytest.mark.parametrize("psi", [1e-10, 0.3, 10.0, 1e10])
+    @pytest.mark.parametrize("n", [1, 2, 200, 66_666])
+    def test_one_end_is_the_urn_draw(self, psi, n):
+        # the first table counts the very draw sample_sequence makes from the seed
+        for seed in range(5):
+            (table,) = _grown_tables(psi, [n], seed)
+            expected = SpeciesCounts.from_values(sample_sequence(UrnConfig(psi, n, seed)).values)
+            assert table == expected and table.n == expected.n == n
+            assert table.ids.dtype == table.counts.dtype == np.int64
+
+    @pytest.mark.parametrize("psi", [1e-10, 1.0, 50.0, 1e10])
+    def test_tables_grow(self, psi):
+        # each table holds its end's items, keeps every earlier species and adds new ones after
+        ends = [1, 1, 7, 300, 300, 5000]
+        tables = list(_grown_tables(psi, ends, 3))
+        for end, table in zip(ends, tables):
+            assert table.n == end and np.array_equal(table.ids, np.arange(table.k_obs))
+            assert table.counts.min() >= 1
+            assert not (table.ids.flags.writeable or table.counts.flags.writeable)
+        for before, after in zip(tables, tables[1:]):
+            assert after.k_obs >= before.k_obs
+            assert (after.counts[: before.k_obs] >= before.counts).all()
+            assert (after == before) == (after.n == before.n)
+
+    @pytest.mark.parametrize("psi", [0.5, 3.0])
+    def test_exact_joint_law(self, psi):
+        # the tables at ends (2, 2, 5), one step and a repeated end, against their
+        # law summed over the urn's 52 outcomes of length 5; draws, seed and bound
+        # were fixed before the first run, and a miss is a finding about the step
+        ends, draws = (2, 2, 5), 20_000
+        law = Counter()
+        for sequence in first_appearance_sequences(ends[-1]):
+            key = tuple(tuple(np.bincount(sequence[:end]).tolist()) for end in ends)
+            law[key] += urn_probability(sequence, psi)
+        observed = Counter(
+            tuple(tuple(table.counts.tolist()) for table in _grown_tables(psi, ends, seed))
+            for seed in derive_seeds(2032, draws)
+        )
+        assert set(observed) <= set(law)
+        expected = np.array([draws * p for p in law.values()])
+        counts = np.array([observed[key] for key in law])
+        statistic = float(((counts - expected) ** 2 / expected).sum())
+        assert chi_square_sf_reference(statistic, len(law) - 1) > 1e-3, statistic
 
 
 class TestSampleLabeledDataset:
